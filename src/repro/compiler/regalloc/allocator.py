@@ -239,7 +239,7 @@ class _TempPool:
         self._cursor = {RClass.INT: 0, RClass.FP: 0}
         self._pools = {RClass.INT: INT_SPILL_TEMPS, RClass.FP: FP_SPILL_TEMPS}
 
-    def take(self, cls: RClass, in_use: set[PhysReg]) -> PhysReg:
+    def take(self, cls: RClass, in_use: list[PhysReg]) -> PhysReg:
         pool = self._pools[cls]
         for _ in range(len(pool)):
             reg = pool[self._cursor[cls] % len(pool)]
@@ -310,7 +310,9 @@ def apply_allocation(fn: Function, result: AllocationResult,
                                             origin="callsave"))
                 continue
 
-            in_use: set[PhysReg] = set()
+            # Temps in the order they were taken: the destination reuses
+            # the first one, so the pick never depends on set iteration.
+            in_use: list[PhysReg] = []
             loads: list[Instr] = []
             new_srcs: list = []
             for s in instr.srcs:
@@ -319,7 +321,7 @@ def apply_allocation(fn: Function, result: AllocationResult,
                     continue
                 if s in spilled:
                     temp = temps.take(s.cls, in_use)
-                    in_use.add(temp)
+                    in_use.append(temp)
                     op = (Opcode.LOAD if s.cls is RClass.INT else Opcode.FLOAD)
                     loads.append(Instr(op, dest=temp, srcs=(SP,),
                                        imm=frame.spill_slot(s),
