@@ -74,6 +74,53 @@ class FuncCFG:
         """Start indices of blocks reachable from the function entry."""
         return {b.start for b in self.rpo()}
 
+    def dominators(self) -> dict[int, set[int]]:
+        """Dominator sets of the reachable blocks (iterative; a block
+        dominates itself)."""
+        rpo = self.rpo()
+        all_blocks = {b.start for b in rpo}
+        doms = {b.start: set(all_blocks) for b in rpo}
+        doms[self.entry] = {self.entry}
+        changed = True
+        while changed:
+            changed = False
+            for b in rpo:
+                if b.start == self.entry:
+                    continue
+                new = set(all_blocks)
+                for p in b.preds:
+                    if p in all_blocks:
+                        new &= doms[p]
+                new.add(b.start)
+                if new != doms[b.start]:
+                    doms[b.start] = new
+                    changed = True
+        return doms
+
+    def natural_loops(self) -> dict[int, set[int]]:
+        """Natural loops: header block start -> body block starts.
+
+        The body of a header is the header plus every block that reaches
+        one of its back-edge sources without passing through it (loops
+        sharing a header merge).  Every predecessor of a non-header body
+        block is in the body, so control enters a loop only at its header.
+        """
+        doms = self.dominators()
+        loops: dict[int, set[int]] = {}
+        for b in self.rpo():
+            for s in b.succs:
+                if s in self.blocks and s in doms[b.start]:
+                    body = loops.setdefault(s, {s})
+                    stack = [b.start]
+                    while stack:
+                        x = stack.pop()
+                        if x in body:
+                            continue
+                        body.add(x)
+                        stack.extend(p for p in self.blocks[x].preds
+                                     if p in self.blocks)
+        return loops
+
 
 @dataclass
 class ProgramCFG:

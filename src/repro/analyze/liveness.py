@@ -65,6 +65,8 @@ class SlotLiveness(BackwardAnalysis):
             for index in range(n):
                 all_slots |= 1 << reg_bit(cls, index)
         self.all_slots = all_slots
+        #: instruction index -> (instruction, decoded slot masks)
+        self._decoded: dict[int, tuple] = {}
 
     # -- BackwardAnalysis interface ------------------------------------------
 
@@ -87,77 +89,95 @@ class SlotLiveness(BackwardAnalysis):
     def copy(self, state: LiveState) -> LiveState:
         return state
 
-    def transfer(self, state: LiveState, index: int, instr) -> LiveState:
-        rmap, wmap, ext = state
-        op = instr.op
+    def _decode(self, index: int, instr) -> tuple:
+        """The slot masks instruction *index* touches, decoded once.
 
+        ``(True, read kills, write kills)`` for a connect, ``(False, None)``
+        for CALL/RET, else ``(False, read-map MFMAP bit, write-map MFMAP
+        bit, destination slot bit, source slot bits)``.
+        """
+        entries = self.entries
         if instr.is_connect:
             cls = instr.imm[0]
-            entries = self.entries.get(cls, 0)
-            # Updates apply in order at runtime; walking them in reverse
-            # makes a same-slot pair behave correctly (the later update
-            # kills the slot before the earlier one is considered).
-            for _cls, which, ri, _rp in reversed(instr.connect_updates()):
-                if ri >= entries:
-                    continue
-                bit = 1 << reg_bit(cls, ri)
-                if which == "read":
-                    rmap &= ~bit
-                else:
-                    wmap &= ~bit
-            return (rmap, wmap, ext)
-
+            n = entries.get(cls, 0)
+            rkill = wkill = 0
+            for _cls, which, ri, _rp in instr.connect_updates():
+                if ri < n:
+                    if which == "read":
+                        rkill |= 1 << reg_bit(cls, ri)
+                    else:
+                        wkill |= 1 << reg_bit(cls, ri)
+            return (True, rkill, wkill)
+        op = instr.op
         if op in (Opcode.CALL, Opcode.RET):
-            # Both endpoints reset every entry to home: the callee starts
-            # from home maps, so no caller slot is observed, and every slot
-            # is redefined before the next instruction runs.
-            return (0, 0, ext | self.ext_use.get(index, 0))
-
+            return (False, None)
+        mf_r = mf_w = 0
         if op is Opcode.MFMAP:
             rclass, idx, which = instr.imm
-            if idx < self.entries.get(rclass, 0):
-                bit = 1 << reg_bit(rclass, idx)
+            if idx < entries.get(rclass, 0):
                 if which == "read":
-                    rmap |= bit
+                    mf_r = 1 << reg_bit(rclass, idx)
                 else:
-                    wmap |= bit
+                    mf_w = 1 << reg_bit(rclass, idx)
+        dest = instr.dest
+        dbit = 0
+        if dest is not None and dest.num < entries.get(dest.cls, 0):
+            dbit = 1 << reg_bit(dest.cls, dest.num)
+        sbits = 0
+        for src in instr.reg_srcs():
+            if src.num < entries.get(src.cls, 0):
+                sbits |= 1 << reg_bit(src.cls, src.num)
+        return (False, mf_r, mf_w, dbit, sbits)
+
+    def transfer(self, state: LiveState, index: int, instr) -> LiveState:
+        rmap, wmap, ext = state
+        decoded = self._decoded.get(index)
+        if decoded is None or decoded[0] is not instr:
+            decoded = self._decoded[index] = (instr,
+                                              self._decode(index, instr))
+        code = decoded[1]
+
+        if code[0]:
+            # Connect: updates redefine their slots (a same-slot pair
+            # leaves the slot dead before the earlier update either way).
+            return (rmap & ~code[1], wmap & ~code[2], ext)
+
+        if code[1] is None:
+            # CALL/RET: both endpoints reset every entry to home: the
+            # callee starts from home maps, so no caller slot is observed,
+            # and every slot is redefined before the next instruction runs.
+            return (0, 0, ext | self.ext_use.get(index, 0))
+
+        _c, mf_r, mf_w, bit, sbits = code
+        rmap |= mf_r
+        wmap |= mf_w
 
         # Generic instruction.  Forward order is: resolve reads through the
         # read map, model-5 after-read resets, execute, write through the
         # write map, model after-write reset.  Undo each in reverse.
-        dest = instr.dest
-        if dest is not None:
-            entries = self.entries.get(dest.cls, 0)
-            if dest.num < entries:
-                bit = 1 << reg_bit(dest.cls, dest.num)
-                model = self.model
-                # Undo the automatic after-write reset (a definition of the
-                # affected slots), then mark the write's own use of the
-                # write-map slot.
-                if model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
-                    wmap &= ~bit
-                elif model is RCModel.WRITE_RESET_READ_UPDATE:
-                    wmap &= ~bit
-                    if rmap & bit:
-                        # read[d] := write[d]: the write-map value flows
-                        # into the live read map.
-                        wmap |= bit
-                        rmap &= ~bit
-                elif model is RCModel.READ_WRITE_RESET:
+        if bit:
+            model = self.model
+            # Undo the automatic after-write reset (a definition of the
+            # affected slots), then mark the write's own use of the
+            # write-map slot.
+            if model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
+                wmap &= ~bit
+            elif model is RCModel.WRITE_RESET_READ_UPDATE:
+                wmap &= ~bit
+                if rmap & bit:
+                    # read[d] := write[d]: the write-map value flows
+                    # into the live read map.
+                    wmap |= bit
                     rmap &= ~bit
-                    wmap &= ~bit
-                wmap |= bit
+            elif model is RCModel.READ_WRITE_RESET:
+                rmap &= ~bit
+                wmap &= ~bit
+            wmap |= bit
 
         ext &= ~self.ext_def.get(index, 0)
-
-        if self.model.resets_read_map_on_read:
-            for src in instr.reg_srcs():
-                if src.num < self.entries.get(src.cls, 0):
-                    rmap &= ~(1 << reg_bit(src.cls, src.num))
-        for src in instr.reg_srcs():
-            if src.num < self.entries.get(src.cls, 0):
-                rmap |= 1 << reg_bit(src.cls, src.num)
-
+        # Model-5 after-read resets kill the source slots before the reads
+        # use them; either way the sources end up live.
+        rmap |= sbits
         ext |= self.ext_use.get(index, 0)
         return (rmap, wmap, ext)
 

@@ -5,12 +5,12 @@ from repro.compiler.frame import FrameLayout, InArg, LocalSlot, OutArg
 from repro.compiler.lower import layout_function, lower_module
 from repro.compiler.opt import OptOptions, optimize_module
 from repro.compiler.pipeline import (
-    COMPILE_JOBS_ENV,
     CompileOptions,
     CompileOutput,
     CompileStats,
+    FrontEnd,
+    compile_front_end,
     compile_module,
-    resolve_compile_jobs,
 )
 from repro.compiler.regalloc.allocator import (
     AllocationOptions,
@@ -34,12 +34,12 @@ from repro.compiler.sched.listsched import schedule_block_instrs, schedule_funct
 __all__ = [
     "AllocationOptions",
     "AllocationResult",
-    "COMPILE_JOBS_ENV",
     "CompileOptions",
     "CompileOutput",
     "CompileStats",
     "DepGraph",
     "FrameLayout",
+    "FrontEnd",
     "InArg",
     "InterferenceGraph",
     "LocalSlot",
@@ -50,6 +50,7 @@ __all__ = [
     "apply_allocation",
     "build_interference",
     "check_encodable",
+    "compile_front_end",
     "compile_module",
     "insert_connects",
     "insert_prologue_epilogue",
@@ -59,7 +60,6 @@ __all__ = [
     "optimize_module",
     "priority_order",
     "reference_weights",
-    "resolve_compile_jobs",
     "schedule_block_instrs",
     "schedule_function",
 ]

@@ -22,7 +22,12 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.compiler import CompileOptions, OptOptions, compile_module
+from repro.compiler import (
+    CompileOptions,
+    OptOptions,
+    compile_front_end,
+    compile_module,
+)
 from repro.errors import SimulationError
 from repro.ir import run_module
 from repro.isa import RClass
@@ -149,8 +154,9 @@ def _config_key(config: MachineConfig) -> str:
 class ExperimentRunner:
     """Runs and caches benchmark experiments at a fixed input scale."""
 
-    #: In-memory compiled-program cache size (FIFO eviction); sweep points
-    #: differing only in simulate-affecting fields share one compilation.
+    #: In-memory compiled-program and front-end cache size (FIFO
+    #: eviction); sweep points differing only in simulate-affecting fields
+    #: share one compilation, and all configs share one front end.
     COMPILE_CACHE_CAP = 64
 
     def __init__(self, scale: int | None = None,
@@ -168,6 +174,7 @@ class ExperimentRunner:
         self._memory: dict[str, RunRecord] = {}
         self._golden: dict[str, int | float] = {}
         self._compiled: dict[tuple, tuple] = {}
+        self._front_ends: dict[tuple, tuple] = {}
         self._fingerprint = code_fingerprint()
         #: cache traffic counters, surfaced by the sweep executor.
         self.cache_hits = 0
@@ -185,7 +192,7 @@ class ExperimentRunner:
         Pool workers run jobs on *forked copies* of a runner, so counters
         they bump are invisible to the parent; callers that fan out take a
         snapshot around each remote job and ship the delta back (see
-        :func:`repro.experiments.executor._run_job` and
+        :func:`repro.experiments.executor._run_group` and
         :meth:`absorb_counters`).
         """
         return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
@@ -281,6 +288,25 @@ class ExperimentRunner:
                 f".o{opt_level}.u{unroll_factor}.w{num_windows}"
                 f".f{self._fingerprint}")
 
+    def front_end(self, benchmark: str, opt_level: str = "ilp",
+                  unroll_factor: int = 4) -> tuple:
+        """The built workload module and its compiler front end, memoized.
+
+        The front end (optimize, profile, alias) does not depend on the
+        machine configuration, so every sweep point, gang and serve job of
+        one (benchmark, opt level, unroll factor) shares it.
+        """
+        key = (benchmark, opt_level, unroll_factor)
+        hit = self._front_ends.get(key)
+        if hit is None:
+            module = workload(benchmark).module(self.scale)
+            front = compile_front_end(module, CompileOptions(
+                opt=OptOptions(level=opt_level, unroll_factor=unroll_factor)))
+            if len(self._front_ends) >= self.COMPILE_CACHE_CAP:
+                self._front_ends.pop(next(iter(self._front_ends)))
+            hit = self._front_ends[key] = (module, front)
+        return hit
+
     def _compiled_program(self, benchmark: str, config: MachineConfig,
                           opt_level: str, unroll_factor: int,
                           num_windows: int) -> tuple:
@@ -291,7 +317,8 @@ class ExperimentRunner:
         (``extra_decode_stage``, ``max_cycles``) hit this cache and reuse
         one compilation — and, because the same ``MachineProgram`` object is
         returned, the fast engine's per-program code cache amortizes its
-        specialization cost across those points too.
+        specialization cost across those points too.  A miss runs only the
+        back end, on a copy of the memoized :meth:`front_end`.
         """
         ckey = (benchmark, _compile_key(config), opt_level, unroll_factor,
                 num_windows)
@@ -300,14 +327,14 @@ class ExperimentRunner:
             self.compile_hits += 1
             return hit
         self.compile_misses += 1
-        module = workload(benchmark).module(self.scale)
+        module, front = self.front_end(benchmark, opt_level, unroll_factor)
         from repro.compiler.regalloc.allocator import AllocationOptions
 
         options = CompileOptions(
             opt=OptOptions(level=opt_level, unroll_factor=unroll_factor),
             alloc=AllocationOptions(num_windows=num_windows),
         )
-        out = compile_module(module, config, options)
+        out = compile_module(module, config, options, front_end=front)
         if len(self._compiled) >= self.COMPILE_CACHE_CAP:
             self._compiled.pop(next(iter(self._compiled)))
         self._compiled[ckey] = (module, out)

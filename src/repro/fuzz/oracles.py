@@ -24,7 +24,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.analyze import check_program
-from repro.compiler import CompileOptions, compile_module
+from repro.compiler import CompileOptions, compile_front_end, compile_module
 from repro.errors import ReproError, SimulationError, SimulationFault
 from repro.ir.interp import Interpreter
 from repro.isa.asmfmt import format_listing
@@ -404,21 +404,25 @@ def mutation_surfaced(original, mutant, config) -> str | None:
     return None
 
 
+def _memoized_compile(module, config):
+    """Compile through a front end that already served one back end, as a
+    sweep's memoized front end does."""
+    front = compile_front_end(module)
+    compile_module(module, config, front_end=front)
+    return compile_module(module, config, front_end=front)
+
+
 def compile_determinism(module, config) -> str | None:
-    """Byte-identical listings across jobs=1 / jobs=4 and the fast /
-    reference IR profiling engines."""
+    """Byte-identical listings between a fresh compile, a compile from a
+    memoized front end, and the reference IR profiling engine."""
     variants = {
-        "jobs=1": CompileOptions(jobs=1),
-        "jobs=4": CompileOptions(jobs=4),
-        "ir=reference": CompileOptions(jobs=1, ir_engine="reference"),
+        "fresh": lambda: compile_module(module, config),
+        "front-end=memo": lambda: _memoized_compile(module, config),
+        "ir=reference": lambda: compile_module(
+            module, config, options=CompileOptions(ir_engine="reference")),
     }
-    outputs = {}
-    for name, options in variants.items():
-        exc, out = _outcome(
-            lambda options=options: compile_module(module, config,
-                                                   options=options))
-        outputs[name] = (exc, out)
-    base_name = "jobs=1"
+    outputs = {name: _outcome(build) for name, build in variants.items()}
+    base_name = "fresh"
     base_exc, base = outputs[base_name]
     base_listing = format_listing(base.program.instrs) if base else None
     for name, (exc, out) in outputs.items():

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 
-from repro.compiler import CompileOptions, compile_module
+from repro.compiler import compile_module
 from repro.fuzz.corpus import (
     default_corpus_root,
     iter_cases,
@@ -293,12 +293,11 @@ class _Session:
     def _compile_and_check(self, module, config, seed) -> None:
         self.report.bump("compiles")
         try:
-            out = compile_module(module, config,
-                                 options=CompileOptions(jobs=1))
+            out = compile_module(module, config)
         except Exception as exc:  # noqa: BLE001 - compiler crash is a finding
             def predicate(m, config=config):
                 try:
-                    compile_module(m, config, options=CompileOptions(jobs=1))
+                    compile_module(m, config)
                 except Exception:  # noqa: BLE001
                     return True
                 return False
@@ -314,8 +313,7 @@ class _Session:
         self.report.bump("fastpath_runs" if used_fast else "fallback_runs")
         if problem is not None:
             def predicate(m, config=config):
-                compiled = compile_module(m, config,
-                                          options=CompileOptions(jobs=1))
+                compiled = compile_module(m, config)
                 return sim_parity(compiled.program, config)[0] is not None
 
             self._record(Divergence(
@@ -326,8 +324,7 @@ class _Session:
         problem = checker_soundness(out.program, config)
         if problem is not None:
             def predicate(m, config=config):
-                compiled = compile_module(m, config,
-                                          options=CompileOptions(jobs=1))
+                compiled = compile_module(m, config)
                 return checker_soundness(compiled.program,
                                          config) is not None
 

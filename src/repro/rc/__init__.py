@@ -1,6 +1,6 @@
 """Register Connection architectural support: mapping table, PSW, contexts."""
 
-from repro.rc.abstract import AbstractMap
+from repro.rc.abstract import AbstractMap, MaskMap
 from repro.rc.context import (
     ClassContext,
     ProcessContext,
@@ -17,6 +17,7 @@ __all__ = [
     "DEFAULT_MODEL",
     "MAP_ENABLE_BIT",
     "MappingTable",
+    "MaskMap",
     "PSW",
     "ProcessContext",
     "RCModel",

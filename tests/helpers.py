@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from repro.ir import FnBuilder, Module
 
 
@@ -80,3 +82,50 @@ def diamond_module() -> Module:
     b.halt()
     b.done()
     return m
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_points() -> tuple:
+    """Every distinct compile the full figure suite makes over the twelve
+    kernels, plus each kernel on reset models 1-5 at 16 int / 32 FP cores
+    with RC and on the 64-register machine without RC, as ``SweepJob``s."""
+    from repro.experiments import ALL_FIGURES, SweepExecutor, SweepJob
+    from repro.experiments.figures import _config
+    from repro.experiments.runner import _compile_key
+    from repro.rc import RCModel
+    from repro.sim import paper_machine
+    from repro.workloads import ALL_BENCHMARKS
+
+    executor = SweepExecutor(runner=shared_runner(), jobs=1)
+    jobs = [job for fn in ALL_FIGURES.values()
+            for job in executor.collect_jobs(fn, ALL_BENCHMARKS)]
+    for name in ALL_BENCHMARKS:
+        jobs.append(SweepJob(name, paper_machine()))
+        jobs.extend(SweepJob(name, _config(name, rc=True, int_core=16,
+                                           fp_core=32, model=RCModel(m)))
+                    for m in range(1, 6))
+    points = {}
+    for job in jobs:
+        key = (job.benchmark, _compile_key(job.config), job.opt_level,
+               job.unroll_factor, job.num_windows)
+        points.setdefault(key, job)
+    return tuple(points.values())
+
+
+@functools.lru_cache(maxsize=None)
+def shared_runner():
+    """One scale-1 runner whose front ends the sweep-point tests share
+    (they only compile, so its record cache is never touched)."""
+    from repro.experiments import ExperimentRunner
+
+    return ExperimentRunner(scale=1, cache_dir="unused-record-cache")
+
+
+def compile_options(job):
+    """The ``CompileOptions`` the runner uses for *job*."""
+    from repro.compiler import CompileOptions, OptOptions
+    from repro.compiler.regalloc.allocator import AllocationOptions
+
+    return CompileOptions(
+        opt=OptOptions(level=job.opt_level, unroll_factor=job.unroll_factor),
+        alloc=AllocationOptions(num_windows=job.num_windows))

@@ -262,8 +262,9 @@ class TestRecursion:
             assert compiled_value(m, "out", cfg) == ref
 
 
-class TestParallelBackend:
-    """jobs=N must emit exactly the program jobs=1 does."""
+class TestSharedFrontEnd:
+    """A back end started from a shared front end emits exactly what a
+    fresh compile does."""
 
     def _multi_fn_module(self):
         m = Module()
@@ -283,46 +284,46 @@ class TestParallelBackend:
         return m
 
     @pytest.mark.parametrize("cfg_name,cfg", CONFIGS)
-    def test_jobs_parity(self, cfg_name, cfg):
+    def test_front_end_parity(self, cfg_name, cfg):
+        from repro.compiler import compile_front_end
         m = self._multi_fn_module()
-        serial = compile_module(m, cfg, CompileOptions(jobs=1))
-        parallel = compile_module(m, cfg, CompileOptions(jobs=3))
-        assert ([repr(i) for i in serial.program.instrs]
-                == [repr(i) for i in parallel.program.instrs])
-        assert serial.profile == parallel.profile
-        assert serial.stats == parallel.stats
-        assert set(serial.allocations) == set(parallel.allocations)
+        fresh = compile_module(m, cfg)
+        front = compile_front_end(m)
+        before = [repr(i) for _, i in front.module.functions["main"]
+                  .iter_instrs()]
+        shared = compile_module(m, cfg, front_end=front)
+        again = compile_module(m, cfg, front_end=front)
+        assert ([repr(i) for i in fresh.program.instrs]
+                == [repr(i) for i in shared.program.instrs]
+                == [repr(i) for i in again.program.instrs])
+        assert fresh.profile == shared.profile
+        assert fresh.stats == shared.stats
+        assert set(fresh.allocations) == set(shared.allocations)
+        # The back end works on a copy: the front end stays reusable.
+        assert before == [repr(i) for _, i in front.module.functions["main"]
+                          .iter_instrs()]
 
-    def test_parallel_output_still_simulates(self):
+    def test_shared_front_end_output_still_simulates(self):
+        from repro.compiler import compile_front_end
         m = self._multi_fn_module()
-        cfg = paper_machine()
-        out = compile_module(m, cfg, CompileOptions(jobs=2))
-        assert simulate(out.program, cfg).load_word(
-            m.global_addr("out")) == 125
+        front = compile_front_end(m)
+        for cfg in (paper_machine(), paper_machine(issue_width=1)):
+            out = compile_module(m, cfg, front_end=front)
+            assert simulate(out.program, cfg).load_word(
+                m.global_addr("out")) == 125
 
-    def test_jobs_env_resolution(self, monkeypatch):
-        from repro.compiler import COMPILE_JOBS_ENV, resolve_compile_jobs
-        monkeypatch.delenv(COMPILE_JOBS_ENV, raising=False)
-        assert resolve_compile_jobs() == 1
-        assert resolve_compile_jobs(5) == 5
-        monkeypatch.setenv(COMPILE_JOBS_ENV, "3")
-        assert resolve_compile_jobs() == 3
-        assert resolve_compile_jobs(1) == 1  # explicit beats env
-        monkeypatch.setenv(COMPILE_JOBS_ENV, "nonsense")
-        assert resolve_compile_jobs() == 1
-
-    def test_metrics_compile_stays_serial_and_identical(self, monkeypatch):
-        from repro.compiler import COMPILE_JOBS_ENV
+    def test_metrics_compile_times_front_end_stages(self):
         from repro.observe import PassMetrics
         m = self._multi_fn_module()
         cfg = paper_machine()
-        plain = compile_module(m, cfg, CompileOptions(jobs=4))
+        plain = compile_module(m, cfg)
         metrics = PassMetrics()
-        measured = compile_module(m, cfg, CompileOptions(jobs=4),
-                                  metrics=metrics)
+        measured = compile_module(m, cfg, metrics=metrics)
         assert ([repr(i) for i in plain.program.instrs]
                 == [repr(i) for i in measured.program.instrs])
-        assert any(r.name == "allocate" for r in metrics.records)
+        names = [r.name for r in metrics.records]
+        for stage in ("optimize", "profile", "alias", "allocate"):
+            assert stage in names
 
     def test_ir_engine_option_is_output_invariant(self):
         m = self._multi_fn_module()

@@ -443,3 +443,72 @@ class TestCompileCache:
         rec_fast = fast.run("cmp", cfg)
         assert rec_ref == rec_fast
         assert fast.cache_misses == 0 and fast.cache_hits == 1
+
+
+class TestFrontEndMemo:
+    """The runner computes each (benchmark, opt level, unroll) front end
+    once and every compile's back end starts from a copy of it."""
+
+    def test_memoized_compiles_match_fresh_on_every_sweep_point(self):
+        from helpers import compile_options, shared_runner, sweep_points
+
+        from repro.compiler import compile_module
+        from repro.isa.asmfmt import format_listing
+
+        shared = shared_runner()
+        for job in sweep_points():
+            module, out = shared._compiled_program(
+                job.benchmark, job.config, job.opt_level, job.unroll_factor,
+                job.num_windows)
+            fresh = compile_module(module, job.config, compile_options(job))
+            where = f"{job.benchmark} on {job.config.describe()}"
+            assert (format_listing(out.program.instrs)
+                    == format_listing(fresh.program.instrs)), where
+            assert out.program.targets == fresh.program.targets, where
+            assert out.stats == fresh.stats, where
+            assert out.connect_opt == fresh.connect_opt, where
+
+    def test_front_end_is_computed_once_per_key(self, runner, monkeypatch):
+        calls = []
+        real = runner_mod.compile_front_end
+
+        def counted(module, *args, **kwargs):
+            calls.append(module.name)
+            return real(module, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "compile_front_end", counted)
+        for issue in (1, 2, 4):
+            runner.run("cmp", MachineConfig(issue_width=issue))
+        runner.run("cmp", MachineConfig(), opt_level="scalar")
+        assert len(calls) == 2
+        assert runner.compile_misses == 4
+
+    def test_pool_sweep_computes_front_ends_in_parent(self, tmp_path,
+                                                       monkeypatch):
+        import multiprocessing
+        import os
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit front ends only when forked")
+        log = tmp_path / "front-ends.log"
+        real = runner_mod.compile_front_end
+
+        def logged(module, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}:{module.name}:"
+                         f"{args[0].opt.level if args else '-'}\n")
+            return real(module, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "compile_front_end", logged)
+        runner = ExperimentRunner(scale=1, cache_dir=tmp_path / "cache")
+        ex = SweepExecutor(runner=runner, jobs=2)
+        from repro.experiments import figure8
+
+        ex.run_figure(figure7, benchmarks=("cmp", "grep"))
+        ex.run_figure(figure8, benchmarks=("cmp", "grep"))
+        assert ex.stats.misses > 0 and ex.stats.errors == 0
+        entries = log.read_text().split()
+        assert len(entries) == len(set(entries))  # once per key
+        assert {e.split(":")[0] for e in entries} == {str(os.getpid())}
+        assert set(runner._golden) == {"cmp", "grep"}
+        assert not executor_mod._worker_runners

@@ -249,3 +249,81 @@ class TestPipeline:
         report = check_program(out.program, config)
         counts = report.counts()
         assert not {"RC003", "RC005", "RC006"} & set(counts), report.render()
+
+
+# ---------------------------------------------------------------------------
+# The once-per-round hoist check against the trial-based oracle
+
+
+class TestHoistOracle:
+    """``optimize_connects`` judges hoists without trial programs; the
+    oracle in ``connectopt_oracle`` builds one per candidate and re-solves.
+    Both must emit the same program and the same report everywhere the
+    sweeps compile with RC."""
+
+    def test_matches_trial_oracle_on_every_sweep_point(self):
+        import connectopt_oracle
+        from helpers import compile_options, shared_runner, sweep_points
+
+        from repro.isa.asmfmt import format_listing
+
+        runner = shared_runner()
+        compared = hoisted = 0
+        for job in sweep_points():
+            if not job.config.has_rc:
+                continue
+            _module, front = runner.front_end(job.benchmark, job.opt_level,
+                                              job.unroll_factor)
+            options = compile_options(job)
+            options.opt_connects = False
+            program = compile_module(_module, job.config, options,
+                                     front_end=front).program
+            new = optimize_connects(program, job.config)
+            old = connectopt_oracle.optimize_connects(program, job.config)
+            where = f"{job.benchmark} on {job.config.describe()}"
+            assert (format_listing(new.program.instrs)
+                    == format_listing(old.program.instrs)), where
+            assert new.program.targets == old.program.targets, where
+            assert new.report == old.report, where
+            compared += 1
+            hoisted += new.report.hoisted
+        assert compared >= 60
+        assert hoisted > 0  # the hoist path is exercised
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_mask_states_equal_set_states(self, model):
+        """The int-mask map state is the site-free set state, bit for
+        bit, at every block entry."""
+        import connectopt_oracle
+
+        from repro.analyze.cfg import build_cfg
+        from repro.analyze.dataflow import solve_forward
+        from repro.analyze.optimize import _MapState, _effects
+
+        for name in ("eqntott", "tomcatv"):
+            cls = RClass.FP if workload(name).kind == "fp" else RClass.INT
+            config = machine(model, cls=cls)
+            program = compile_module(
+                workload(name).module(1), config,
+                CompileOptions(opt_connects=False)).program
+            effects = _effects(program, config)
+            for fn in build_cfg(program).functions:
+                masks = solve_forward(fn, _MapState(config, effects),
+                                      program.instrs).block_in
+                sets = solve_forward(fn, connectopt_oracle.SetMapState(config),
+                                     program.instrs).block_in
+                assert masks.keys() == sets.keys()
+                for start, state in masks.items():
+                    for ci, amap in enumerate(state):
+                        ref = sets[start].get((RClass.INT, RClass.FP)[ci])
+                        if amap is None:
+                            assert ref is None
+                            continue
+                        for which in ("read", "write"):
+                            got = getattr(amap, which)
+                            want = getattr(ref, which)
+                            assert got.keys() == want.keys()
+                            for ri, entry in got.items():
+                                assert ({(p, None) for p in
+                                         amap.physical(entry)}
+                                        == want[ri])
