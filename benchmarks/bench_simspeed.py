@@ -45,7 +45,6 @@ from repro.sim import (  # noqa: E402
     FastSimulator,
     Simulator,
     assemble,
-    numpy_available,
     paper_machine,
     unlimited_machine,
 )
@@ -183,12 +182,10 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
 
     Per benchmark, one compiled program sweeps the full model × width ×
     extra-decode matrix (40 configs).  The baseline is the current fast
-    path, one run per config; the gang simulates all 40 in one pass.  Both
-    follower-state backends are timed when available.  Every gang slot is
-    compared field-by-field against its single-config fast run — the
-    parity gate.
+    path, one run per config; the gang simulates all 40 in one pass.  Every
+    gang slot is compared field-by-field against its single-config fast
+    run — the parity gate.
     """
-    backends = ["python"] + (["numpy"] if numpy_available() else [])
     points, problems = [], []
     for name in ALL_BENCHMARKS:
         kind = workload(name).kind
@@ -224,42 +221,35 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
 
         fast_s = min(fast_pass() for _ in range(repeat))
 
-        def gang_pass(backend):
+        def gang_pass():
             prog = copy.deepcopy(program)
             t0 = time.perf_counter()
-            BatchedSimulator(prog, configs, backend=backend).run()
+            BatchedSimulator(prog, configs).run()
             return time.perf_counter() - t0
 
-        gang_s = {b: min(gang_pass(b) for _ in range(repeat))
-                  for b in backends}
-        best = min(gang_s, key=gang_s.get)
+        gang_s = min(gang_pass() for _ in range(repeat))
         insns = sum(s.stats.instructions for s in singles)
         points.append({
             "benchmark": name,
             "configs": len(configs),
             "instructions": insns,
             "fast_seconds": fast_s,
-            **{f"batched_{b}_seconds": s for b, s in gang_s.items()},
-            "backend_winner": best,
-            "speedup": fast_s / gang_s[best],
+            "batched_seconds": gang_s,
+            "speedup": fast_s / gang_s,
         })
 
     fast_s = sum(p["fast_seconds"] for p in points)
-    totals = {b: sum(p[f"batched_{b}_seconds"] for p in points)
-              for b in backends}
-    best = min(totals, key=totals.get)
+    gang_s = sum(p["batched_seconds"] for p in points)
     insns = sum(p["instructions"] for p in points)
     summary = {
         "points": points,
         "configs_per_benchmark": len(_sweep_configs(RClass.INT)),
         "instructions": insns,
         "fast_seconds": fast_s,
-        **{f"batched_{b}_seconds": s for b, s in totals.items()},
-        "backends_measured": backends,
-        "backend_winner": best,
+        "batched_seconds": gang_s,
         "fast_points_per_sec": len(points) * 40 / fast_s,
-        "batched_points_per_sec": len(points) * 40 / totals[best],
-        "speedup": fast_s / totals[best],
+        "batched_points_per_sec": len(points) * 40 / gang_s,
+        "speedup": fast_s / gang_s,
         "parity_failures": len(problems),
     }
     return summary, problems
@@ -312,9 +302,7 @@ def main(argv=None) -> int:
           f"{sweep['configs_per_benchmark']} configs): "
           f"fast {sweep['fast_points_per_sec']:.1f} points/s, "
           f"batched {sweep['batched_points_per_sec']:.1f} points/s "
-          f"-> {sweep['speedup']:.2f}x "
-          f"(backend winner: {sweep['backend_winner']}, "
-          f"measured: {', '.join(sweep['backends_measured'])})")
+          f"-> {sweep['speedup']:.2f}x")
     if problems:
         print(f"PARITY FAILURES ({len(problems)}):", file=sys.stderr)
         for p in problems:

@@ -60,7 +60,7 @@ class CompileOptions:
     #: machine code and fail compilation on any error-severity finding.
     check: bool = False
     #: IR interpreter engine for the profiling stage ("fast"/"reference");
-    #: ``None`` defers to ``$REPRO_IR_ENGINE`` (default fast).
+    #: ``None`` means fast.
     ir_engine: str | None = None
     #: Run the analysis-driven connect optimizer
     #: (:mod:`repro.analyze.optimize`) on the laid-out machine program:

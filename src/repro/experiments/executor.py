@@ -94,7 +94,7 @@ class SweepStats:
     groups: int = 0
     #: jobs that rode a shared compilation instead of compiling themselves.
     grouped_jobs: int = 0
-    #: lockstep gang runs dispatched through the batched engine.
+    #: compile groups simulated as one lockstep gang (see _gang_eligible).
     gangs: int = 0
     gang_points: int = 0
     max_gang: int = 0
@@ -126,23 +126,54 @@ _worker_runners: dict[tuple, ExperimentRunner] = {}
 
 
 def _gang_eligible(engine: str, group: list[SweepJob]) -> bool:
-    """Gang a compile group when the batched engine is selected, the group
-    has more than one point, and no point needs a CPI observer (attribution
-    requires the reference engine)."""
-    return (engine == "batched" and len(group) > 1
+    """Gang a compile group when it has more than one point, the runner is
+    on the fast engine, and no point needs a CPI observer (attribution
+    requires the reference engine).  A group that repeats a point runs per
+    job instead, so the runner's record cache serves the repeats."""
+    return (engine == "fast" and len(group) > 1
+            and len(set(group)) == len(group)
             and not any(job.collect_cpi for job in group))
+
+
+def _run_group_on(runner: ExperimentRunner, group: list[SweepJob]
+                  ) -> tuple[list[tuple[RunRecord | None, float, str | None]],
+                             int]:
+    """Run one compile group on *runner*: every job shares a `_compile_key`,
+    so the group compiles once (warm compile memo), and a group that is
+    :func:`_gang_eligible` simulates as one lockstep gang.
+
+    Returns per-job ``(record, elapsed, error)`` in group order and the
+    gang size used (0 = per-job runs).
+    """
+    if _gang_eligible(runner.engine, group):
+        start = time.perf_counter()
+        outcomes = runner.run_gang(
+            group[0].benchmark, [job.config for job in group],
+            opt_level=group[0].opt_level,
+            unroll_factor=group[0].unroll_factor,
+            num_windows=group[0].num_windows)
+        share = (time.perf_counter() - start) / len(group)
+        return ([(record, share, error) for record, error in outcomes],
+                len(group))
+    out: list[tuple[RunRecord | None, float, str | None]] = []
+    for job in group:
+        start = time.perf_counter()
+        record, error = None, None
+        try:
+            record = runner.run(job.benchmark, job.config, **job.kwargs())
+        except Exception as exc:  # noqa: BLE001 - surfaced per job
+            error = f"{type(exc).__name__}: {exc}"
+        out.append((record, time.perf_counter() - start, error))
+    return out, 0
 
 
 def _run_group(scale: int, cache_dir: str, verify: bool, engine: str,
                group: list[SweepJob]
                ) -> tuple[list[tuple[RunRecord | None, float, str | None]],
                           dict, int]:
-    """Run one compile group in a worker: every job shares a `_compile_key`,
-    so the group compiles once (warm compile memo) — and under the batched
-    engine the whole group simulates as one lockstep gang.
+    """Pool-worker entry: :func:`_run_group_on` on this process's runner.
 
-    Returns per-job ``(record, elapsed, error)`` in group order, the
-    runner's counter delta, and the gang size used (0 = per-job runs).
+    Returns what that does plus the runner's counter delta.
     """
     key = (scale, cache_dir, verify, engine)
     runner = _worker_runners.get(key)
@@ -151,27 +182,7 @@ def _run_group(scale: int, cache_dir: str, verify: bool, engine: str,
                                   verify_checksums=verify, engine=engine)
         _worker_runners[key] = runner
     before = runner.counters()
-    out: list[tuple[RunRecord | None, float, str | None]] = []
-    gang_n = 0
-    if _gang_eligible(engine, group):
-        gang_n = len(group)
-        start = time.perf_counter()
-        outcomes = runner.run_gang(
-            group[0].benchmark, [job.config for job in group],
-            opt_level=group[0].opt_level,
-            unroll_factor=group[0].unroll_factor,
-            num_windows=group[0].num_windows)
-        share = (time.perf_counter() - start) / len(group)
-        out = [(record, share, error) for record, error in outcomes]
-    else:
-        for job in group:
-            start = time.perf_counter()
-            record, error = None, None
-            try:
-                record = runner.run(job.benchmark, job.config, **job.kwargs())
-            except Exception as exc:  # noqa: BLE001 - surfaced per job
-                error = f"{type(exc).__name__}: {exc}"
-            out.append((record, time.perf_counter() - start, error))
+    out, gang_n = _run_group_on(runner, group)
     after = runner.counters()
     delta = {name: after[name] - before[name] for name in after}
     return out, delta, gang_n
@@ -314,7 +325,7 @@ class SweepExecutor:
 
         Points sharing a ``(benchmark, _compile_key, opt options)`` tuple
         compile identically: each group lands on one worker so the compile
-        memo serves the whole group, and under the batched engine the group
+        memo serves the whole group, and a group of more than one point
         simulates as one gang.  Bumps the grouping counters.
         """
         by_key: dict[tuple, list[int]] = {}
@@ -337,34 +348,13 @@ class SweepExecutor:
             self.stats.max_gang = max(self.stats.max_gang, size)
 
     def _run_serial(self, jobs, pending, results, done, total) -> int:
-        runner = self.runner
         for idxs in self._group_pending(jobs, pending):
-            group = [jobs[i] for i in idxs]
-            if _gang_eligible(runner.engine, group):
-                self._count_gang(len(group))
-                start = time.perf_counter()
-                outcomes = runner.run_gang(
-                    group[0].benchmark, [job.config for job in group],
-                    opt_level=group[0].opt_level,
-                    unroll_factor=group[0].unroll_factor,
-                    num_windows=group[0].num_windows)
-                share = (time.perf_counter() - start) / len(group)
-                for i, (record, error) in zip(idxs, outcomes):
-                    done = self._finish(i, jobs[i], record, share, error,
-                                        results, done, total)
-                continue
-            for i in idxs:
-                job = jobs[i]
-                start = time.perf_counter()
-                record, error = None, None
-                try:
-                    record = runner.run(job.benchmark, job.config,
-                                        **job.kwargs())
-                except Exception as exc:  # noqa: BLE001 - surfaced per job
-                    error = f"{type(exc).__name__}: {exc}"
-                done = self._finish(i, job, record,
-                                    time.perf_counter() - start,
-                                    error, results, done, total)
+            outcomes, gang_n = _run_group_on(self.runner,
+                                             [jobs[i] for i in idxs])
+            self._count_gang(gang_n)
+            for i, (record, elapsed, error) in zip(idxs, outcomes):
+                done = self._finish(i, jobs[i], record, elapsed, error,
+                                    results, done, total)
         return done
 
     def _prefill(self, jobs, groups) -> None:

@@ -19,14 +19,12 @@ from repro.ir.function import (
     Module,
 )
 from repro.ir.interp import (
-    IR_ENGINE_ENV,
     Interpreter,
     InterpResult,
     Profile,
     resolve_ir_engine,
     run_module,
 )
-from repro.ir.liveness import LivenessInfo, liveness, max_live_pressure
 from repro.ir.verify import verify_function, verify_module
 
 __all__ = [
@@ -35,18 +33,14 @@ __all__ = [
     "FnBuilder",
     "Function",
     "GlobalArray",
-    "IR_ENGINE_ENV",
     "Interpreter",
     "InterpResult",
-    "LivenessInfo",
     "Module",
     "NaturalLoop",
     "Profile",
     "STACK_BASE",
     "dominators",
-    "liveness",
     "loop_depths",
-    "max_live_pressure",
     "natural_loops",
     "predecessors",
     "resolve_ir_engine",

@@ -1,15 +1,13 @@
 """Dense virtual-register numbering and int-bitmask liveness.
 
-The set-of-:class:`~repro.isa.registers.VReg` dataflow in
-:mod:`repro.ir.liveness` is the executable specification, but its
-``live_across_instr`` copies a fresh set per instruction and every set
-operation hashes frozen dataclasses.  This module re-expresses the same
-lattice as Python integers: each virtual register gets a dense index
-(parameters first, then first appearance), a live set becomes one int, and
-transfer functions become ``&``/``|``/``~`` on machine words.  The register
+Backward liveness over virtual registers, with the lattice expressed as
+Python integers: each virtual register gets a dense index (parameters
+first, then first appearance), a live set becomes one int, and transfer
+functions become ``&``/``|``/``~`` on machine words.  The register
 allocator's interference construction and the analyzer's abstract states
 consume these masks; ``tests/test_bitset.py`` property-checks equality with
-the set-based reference on randomized CFGs.
+a set-of-``VReg`` reference (``tests/liveness_oracle.py``) on randomized
+CFGs.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.ir.cfg import reverse_postorder
 from repro.ir.function import BasicBlock, Function
-from repro.ir.liveness import LivenessInfo
 from repro.isa.registers import RClass, VReg
 
 __all__ = ["BitLivenessInfo", "VRegIndex", "bit_liveness"]
@@ -95,14 +92,6 @@ class BitLivenessInfo:
                     live |= 1 << idx[s]
         return after
 
-    def to_sets(self) -> LivenessInfo:
-        """The equivalent set-based :class:`LivenessInfo` (tests, adapters)."""
-        conv = self.index.set_of
-        return LivenessInfo(
-            {name: conv(m) for name, m in self.live_in.items()},
-            {name: conv(m) for name, m in self.live_out.items()},
-        )
-
 
 def _block_use_def_masks(block: BasicBlock,
                          idx: dict[VReg, int]) -> tuple[int, int]:
@@ -125,8 +114,8 @@ def bit_liveness(fn: Function, index: VRegIndex | None = None
                  ) -> BitLivenessInfo:
     """Compute per-block liveness for *fn* as bitmasks.
 
-    Same fixpoint as :func:`repro.ir.liveness.liveness`, over the same
-    reachable-block domain, with set union/difference replaced by integer
+    The classic backward fixpoint over the reachable blocks, visiting them
+    in postorder, with set union/difference replaced by integer
     ``|``/``& ~``.
     """
     index = index or VRegIndex(fn)

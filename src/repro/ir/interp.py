@@ -13,7 +13,6 @@ cycle-level simulator.  It serves two roles from the paper's methodology:
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -26,10 +25,6 @@ from repro.isa.semantics import ALU_FUNCS, branch_taken, evaluate
 
 DEFAULT_STEP_LIMIT = 50_000_000
 
-#: Environment variable selecting the interpreter engine (mirrors the
-#: simulator's REPRO_ENGINE).
-IR_ENGINE_ENV = "REPRO_IR_ENGINE"
-
 VALID_IR_ENGINES = ("fast", "reference")
 
 #: Sentinel distinguishing "absent" from any storable memory value.
@@ -37,10 +32,11 @@ _UNWRITTEN = object()
 
 
 def resolve_ir_engine(engine: str | None = None) -> str:
-    """Resolve an engine selection: explicit argument, else the
-    ``REPRO_IR_ENGINE`` environment variable, else ``fast``."""
-    if engine is None or engine in ("", "auto"):
-        engine = os.environ.get(IR_ENGINE_ENV, "").strip().lower() or "fast"
+    """Resolve an IR engine request to a member of ``VALID_IR_ENGINES``.
+
+    ``None``, ``""`` and ``"auto"`` mean ``fast``."""
+    if engine in (None, "", "auto"):
+        engine = "fast"
     if engine not in VALID_IR_ENGINES:
         raise ConfigError(
             f"unknown IR engine {engine!r}; valid: "
@@ -97,13 +93,13 @@ class _Frame:
 class Interpreter:
     """Interprets a module starting from an entry function.
 
-    ``engine`` selects the execution strategy: ``"fast"`` (the default,
-    overridable via ``REPRO_IR_ENGINE``) runs the specializing engine in
-    :mod:`repro.ir.fastinterp`, which is bit-exact with the reference and
-    transparently falls back to it for any run it cannot complete
-    (step-limit overruns, undefined reads, opcodes without IR semantics);
-    ``"reference"`` forces the dict-dispatch loop below.  ``ran_fastpath``
-    reports which engine produced the last result.
+    ``engine`` selects the execution strategy: ``"fast"`` (the default)
+    runs the specializing engine in :mod:`repro.ir.fastinterp`, which is
+    bit-exact with the reference and transparently falls back to it for
+    any run it cannot complete (step-limit overruns, undefined reads,
+    opcodes without IR semantics); ``"reference"`` forces the dict-dispatch
+    loop below.  ``ran_fastpath`` reports which engine produced the last
+    result.
 
     ``strict_loads`` makes LOAD/FLOAD from a never-written address an
     error, matching :meth:`repro.sim.core.SimResult.load_word`; by default

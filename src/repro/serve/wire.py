@@ -25,7 +25,7 @@ from repro.experiments.runner import _compile_key, _sim_key, code_fingerprint
 from repro.isa.latency import LatencyModel
 from repro.isa.registers import RClass, RegFileSpec
 from repro.rc import RCModel
-from repro.sim import MachineConfig
+from repro.sim import VALID_ENGINES, MachineConfig
 from repro.workloads import ALL_BENCHMARKS
 
 #: Job kinds the service accepts.
@@ -192,9 +192,9 @@ def validate_payload(kind: str, payload: dict) -> dict:
         if out["benchmark"] not in ALL_BENCHMARKS:
             raise BadRequest(f"unknown benchmark {out['benchmark']!r}")
     engine = out.get("engine")
-    if engine not in (None, "fast", "reference", "batched"):
+    if engine is not None and engine not in VALID_ENGINES:
         raise BadRequest(f"bad engine {engine!r}; "
-                         f"expected fast|reference|batched")
+                         f"expected {'|'.join(VALID_ENGINES)}")
     scale = out.get("scale", 1)
     if not isinstance(scale, int) or not 1 <= scale <= 64:
         raise BadRequest(f"scale {scale!r} out of range [1, 64]")

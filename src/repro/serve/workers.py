@@ -198,7 +198,7 @@ def _job_sweep(job_id: str, payload: dict) -> dict:
     fig_fn = ALL_FIGURES[payload["figure"]]
 
     # Prewarm the figure's experiments through the sweep executor (serial
-    # inside this worker process; under engine=batched each compile group
+    # inside this worker process; a compile group of several points
     # simulates as one lockstep gang), emitting one progress event per
     # experiment — gang slots included, each reports as it lands.
     def report(done: int, total: int, result) -> None:

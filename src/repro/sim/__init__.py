@@ -10,11 +10,8 @@ from repro.sim.config import (
     unlimited_machine,
 )
 from repro.sim.batched import (
-    BACKEND_ENV,
     BatchedSimulator,
     GangOutcome,
-    numpy_available,
-    resolve_backend,
     simulate_gang,
 )
 from repro.sim.core import SimResult, Simulator, simulate
@@ -26,7 +23,6 @@ from repro.sim.stats import SimStats
 from repro.sim.tracing import PipelineTrace, capture_trace
 
 __all__ = [
-    "BACKEND_ENV",
     "ENGINE_ENV",
     "VALID_ENGINES",
     "BatchedSimulator",
@@ -45,9 +41,7 @@ __all__ = [
     "assemble",
     "capture_trace",
     "default_memory_channels",
-    "numpy_available",
     "paper_machine",
-    "resolve_backend",
     "resolve_engine",
     "simulate",
     "simulate_gang",

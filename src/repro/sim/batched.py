@@ -1,8 +1,7 @@
 """Batched lockstep gang simulator: N machine configs in one pass.
 
-Every figure in the paper sweeps the *same compiled program* over many
-machine configurations (RC models x issue widths x memory channels x
-extra-decode).  The fast path (:mod:`repro.sim.fastpath`) specializes per
+A sweep often simulates the *same compiled program* under several machine
+configurations.  The fast path (:mod:`repro.sim.fastpath`) specializes per
 instruction but still pays decode, codegen, and a full value-computing run
 per config.  This module exploits the key structural fact of the machine
 model:
@@ -25,29 +24,29 @@ So a gang of N configs partitions into *architectural classes* by
   branch outcomes, never touching a register value, and copies the leader's
   final architectural state.
 
-Follower state (scoreboards, map busy times, stats counters) is laid out in
-flat per-slot arrays.  Two backends exist behind a feature probe: the
-default pure-Python struct-of-arrays layout, and an optional NumPy layout
-(int64 scoreboards, vectorized signature gathers and memo-effect
-application) used only when NumPy is importable — the repo keeps its
-stdlib-only guarantee.  ``benchmarks/bench_simspeed.py`` measures both and
-records which wins.
+Sweeps reach this module through
+:meth:`repro.experiments.runner.ExperimentRunner.run_gang`: the sweep
+executor gangs a compile group (points sharing one compiled program) when
+it has more than one point.  The compile key fixes the RC model and both
+register specs, so a sweep's gang is always one class whose slots differ
+only in simulate-only fields such as ``extra_decode_stage`` (Figure 12).
+Multi-class gangs serve ``benchmarks/bench_simspeed.py`` and the
+``batched_parity`` fuzz oracle.
 
-Followers accelerate hot self-loop blocks with the PR-3 signature idea
+Followers accelerate hot self-loop blocks with the bundle-signature idea
 generalized to mapped operands: an iteration's timing effect is memoized
 keyed on ``(map_en, map contents, clamped busy deltas, clamped ready
 deltas)``, and once the signature stream becomes periodic the replay
 fast-forwards whole periods in O(1).  Slots that fault or exhaust their
 cycle budget retire from the gang without disturbing the others; shapes the
 replayer cannot prove (``mtpsw``, branch-to-fall-through, an unsupported
-codegen shape, a faulting leader, ``until_cycle`` segmenting) delegate to
-per-slot :class:`~repro.sim.fastpath.FastSimulator` runs so results are
-always bit-exact.
+codegen shape, a faulting leader) delegate to per-slot
+:class:`~repro.sim.fastpath.FastSimulator` runs so results are always
+bit-exact.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -83,24 +82,12 @@ from repro.sim.fastpath import (
 from repro.sim.machine import MachineState
 from repro.sim.stats import SimStats
 
-__all__ = [
-    "BACKEND_ENV",
-    "BatchedSimulator",
-    "GangOutcome",
-    "numpy_available",
-    "resolve_backend",
-    "simulate_gang",
-]
-
-#: Environment variable selecting the follower state backend.
-BACKEND_ENV = "REPRO_BATCH_BACKEND"
-
-VALID_BACKENDS = ("python", "numpy")
+__all__ = ["BatchedSimulator", "GangOutcome", "simulate_gang"]
 
 #: Instruction kinds a follower may memoize inside a self-loop block.  Unlike
-#: the PR-3 bundle cache, mapped operands are allowed: the signature carries
-#: the map contents, so the timing replay stays sound under connects and
-#: automatic resets.
+#: the fast path's bundle cache, mapped operands are allowed: the signature
+#: carries the map contents, so the timing replay stays sound under connects
+#: and automatic resets.
 _GANG_MEMO_KINDS = frozenset({
     K_ALU, K_LI, K_LOAD, K_STORE, K_NOP, K_CBR, K_CONNECT, K_MFPSW, K_MFMAP,
 })
@@ -113,49 +100,8 @@ _GANG_MAX_SLOTS = 512
 #: Bound on the body length of a memoizable self-loop block.
 _GANG_MAX_BODY = 256
 
-#: Per-plan memo cap, mirroring the PR-3 bundle-cache cap.
+#: Per-plan memo cap, mirroring the fast path's bundle-cache cap.
 _GANG_MEMO_CAP = 512
-
-_POISON_MSG = ("cannot resume a simulator after a failed run: "
-               "architectural state is no longer consistent")
-
-_np_probe: list | None = None
-
-def numpy_available() -> bool:
-    """Feature probe: is NumPy importable?  Never a hard dependency."""
-    global _np_probe
-    if _np_probe is None:
-        try:
-            import numpy  # noqa: F401 - probe only
-
-            _np_probe = [numpy]
-        except ImportError:  # pragma: no cover - depends on environment
-            _np_probe = []
-    return bool(_np_probe)
-
-
-def _numpy():
-    return _np_probe[0] if numpy_available() else None
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a follower-state backend request.
-
-    ``None``/``""``/``"auto"`` defer to :data:`BACKEND_ENV` and fall back to
-    the pure-Python layout (the default: no dependency, and the benchmark
-    records which backend actually wins).  ``"numpy"`` requires NumPy to be
-    importable.
-    """
-    if backend in (None, "", "auto"):
-        backend = os.environ.get(BACKEND_ENV, "").strip() or "python"
-    if backend not in VALID_BACKENDS:
-        raise ConfigError(
-            f"unknown batched backend {backend!r}; "
-            f"expected one of {VALID_BACKENDS}")
-    if backend == "numpy" and not numpy_available():
-        raise ConfigError(
-            "batched backend 'numpy' requested but numpy is not importable")
-    return backend
 
 
 @dataclass
@@ -172,10 +118,6 @@ class GangOutcome:
     result: SimResult | None
     error: BaseException | None
     ran_batched: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 # -- follower replay plan -------------------------------------------------------
@@ -490,7 +432,7 @@ def _replay_supported(dec) -> bool:
     return True
 
 
-def _replay(ctx: _ReplayContext, cfg, np_mod):
+def _replay(ctx: _ReplayContext, cfg):
     """Timing-only replay of the leader trace under follower config *cfg*.
 
     Mirrors the reference engine's group loop (:meth:`Simulator.run`) branch
@@ -535,12 +477,8 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
     pk = lmax < 64
 
     # -- per-slot state (struct-of-arrays across the gang) ---------------------
-    if np_mod is not None:
-        iready = np_mod.zeros(cfg.int_spec.total, dtype=np_mod.int64)
-        fready = np_mod.zeros(cfg.fp_spec.total, dtype=np_mod.int64)
-    else:
-        iready = [0] * cfg.int_spec.total
-        fready = [0] * cfg.fp_spec.total
+    iready = [0] * cfg.int_spec.total
+    fready = [0] * cfg.fp_spec.total
     imr_r = [0] * ient
     imr_w = [0] * ient
     fmr_r = [0] * fent
@@ -609,20 +547,8 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
     sseen: dict = {}
 
     def _pack_writes():
-        if np_mod is None:
-            wr = tuple((iready if ii else fready, j, rel)
-                       for ii, j, rel in rec_w)
-        else:
-            wr = (
-                np_mod.array([j for ii, j, _ in rec_w if ii],
-                             dtype=np_mod.int64),
-                np_mod.array([rel for ii, _, rel in rec_w if ii],
-                             dtype=np_mod.int64),
-                np_mod.array([j for ii, j, _ in rec_w if not ii],
-                             dtype=np_mod.int64),
-                np_mod.array([rel for ii, _, rel in rec_w if not ii],
-                             dtype=np_mod.int64),
-            )
+        wr = tuple((iready if ii else fready, j, rel)
+                   for ii, j, rel in rec_w)
         bw = []
         for ii, ir, j, rel in rec_b:
             if ii:
@@ -753,15 +679,8 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
                         seen = None
                         continue
                 # apply the recorded iteration effect
-                if np_mod is None:
-                    for arr, j, rel in e[3]:
-                        arr[j] = cycle + rel
-                else:
-                    iph, irel, fph, frel = e[3]
-                    if len(iph):
-                        iready[iph] = cycle + irel
-                    if len(fph):
-                        fready[fph] = cycle + frel
+                for arr, j, rel in e[3]:
+                    arr[j] = cycle + rel
                 for arr, j, rel in e[4]:
                     arr[j] = cycle + rel
                 for arr, j, ph in e[5]:
@@ -907,15 +826,8 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
                         # Exit cycle bounds every group-start cycle inside
                         # the dispatch, so one budget check covers them all.
                         if cycle + e[0] <= maxc:
-                            if np_mod is None:
-                                for arr, j, rel in e[5]:
-                                    arr[j] = cycle + rel
-                            else:
-                                iph, irel, fph, frel = e[5]
-                                if len(iph):
-                                    iready[iph] = cycle + irel
-                                if len(fph):
-                                    fready[fph] = cycle + frel
+                            for arr, j, rel in e[5]:
+                                arr[j] = cycle + rel
                             for arr, j, rel in e[6]:
                                 arr[j] = cycle + rel
                             for arr, j, ph in e[7]:
@@ -1160,7 +1072,7 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
             st0 += next_cycle - cycle
         cycle = next_cycle
 
-    return int(cycle), int(st0), int(st1), int(st2), int(st3)
+    return cycle, st0, st1, st2, st3
 
 
 # -- leader-state cloning -------------------------------------------------------
@@ -1208,21 +1120,15 @@ class BatchedSimulator:
     ``run()`` returns a list of :class:`GangOutcome`, one per config slot in
     input order.  Slots that fault or exhaust their budget carry the
     exception in ``outcome.error``; the rest of the gang is undisturbed.
-    A repeated ``run()`` behaves like rerunning each engine: halted slots
-    return the same result, failed slots refuse with the engines' poisoned
-    diagnostic.  ``run(until_cycle=...)`` segments the whole gang through
-    per-slot fast simulators (the replay is whole-run by construction).
+    The gang runs once: a repeated ``run()`` returns the same outcomes.
     """
 
-    def __init__(self, program, configs, backend: str | None = None) -> None:
+    def __init__(self, program, configs) -> None:
         if not configs:
             raise ConfigError("batched gang needs at least one config")
         self.program = program
         self.configs = list(configs)
-        self.backend = resolve_backend(backend)
         self._outcomes: list[GangOutcome] | None = None
-        self._delegates: list | None = None
-        self._poisoned: set[int] = set()
         #: decode lists shared across class leaders, keyed on the config
         #: axes decode actually reads: (latency, int_spec, fp_spec).
         self._shared_dec: list = []
@@ -1230,31 +1136,19 @@ class BatchedSimulator:
         #: — the dec list is pinned by _shared_dec, so ids stay unique.
         self._shared_tables: dict = {}
 
-    @property
-    def ran_batched(self) -> bool:
-        """Did every slot of the last run go through the lockstep replay?"""
-        return bool(self._outcomes) and all(
-            o.ran_batched for o in self._outcomes)
-
     # -- public API -------------------------------------------------------------
 
-    def run(self, until_cycle: int | None = None) -> list[GangOutcome]:
-        if self._outcomes is not None and self._delegates is None:
-            # Rerun after a completed gang: like rerunning each engine,
-            # halted slots return the same result (even under until_cycle —
-            # they are already past it) and failed slots refuse.
-            return self._rerun()
-        if until_cycle is not None or self._delegates is not None:
-            return self._run_delegate(until_cycle)
-        outcomes: list[GangOutcome] = [None] * len(self.configs)  # type: ignore
-        by_class: dict = {}
-        for i, cfg in enumerate(self.configs):
-            key = (cfg.rc_model, cfg.int_spec, cfg.fp_spec)
-            by_class.setdefault(key, []).append(i)
-        for slots in by_class.values():
-            self._run_class(slots, outcomes)
-        self._outcomes = outcomes
-        return list(outcomes)
+    def run(self) -> list[GangOutcome]:
+        if self._outcomes is None:
+            outcomes: list[GangOutcome] = [None] * len(self.configs)  # type: ignore
+            by_class: dict = {}
+            for i, cfg in enumerate(self.configs):
+                key = (cfg.rc_model, cfg.int_spec, cfg.fp_spec)
+                by_class.setdefault(key, []).append(i)
+            for slots in by_class.values():
+                self._run_class(slots, outcomes)
+            self._outcomes = outcomes
+        return list(self._outcomes)
 
     # -- gang execution ---------------------------------------------------------
 
@@ -1287,10 +1181,8 @@ class BatchedSimulator:
             lres = leader._run_fast(trace=trace)
             leader.ran_fastpath = True
         except Exception as exc:
-            leader._ref._failed = True
             outcomes[lead_slot] = GangOutcome(lead_slot, lcfg, None, exc,
                                               True)
-            self._poisoned.add(lead_slot)
             rest = [s for s in slots if s != lead_slot]
             if rest:
                 self._delegate_slots(rest, outcomes)
@@ -1306,14 +1198,12 @@ class BatchedSimulator:
         ctx = _ReplayContext(self.program, dec, trace, ient, fent,
                              tables=self._shared_tables.get(tkey))
         self._shared_tables[tkey] = ctx.tables
-        np_mod = _numpy() if self.backend == "numpy" else None
         for s in followers:
             cfg = configs[s]
             try:
-                cycles, st0, st1, st2, st3 = _replay(ctx, cfg, np_mod)
+                cycles, st0, st1, st2, st3 = _replay(ctx, cfg)
             except Exception as exc:
                 outcomes[s] = GangOutcome(s, cfg, None, exc, True)
-                self._poisoned.add(s)
                 continue
             stats = _follower_stats(lres.stats, cycles, st0, st1, st2, st3)
             state = _clone_state(lres.state, cfg)
@@ -1321,60 +1211,16 @@ class BatchedSimulator:
                 s, cfg, SimResult(stats=stats, state=state, halted=True),
                 None, True)
 
-    # -- delegation -------------------------------------------------------------
-
     def _delegate_slots(self, slots, outcomes) -> None:
         for s in slots:
             cfg = self.configs[s]
             try:
-                sim = FastSimulator(self.program, cfg)
-            except Exception as exc:
-                # Decode error: reconstructing would raise it again, so a
-                # rerun repeats it rather than the poisoned diagnostic.
-                outcomes[s] = GangOutcome(s, cfg, None, exc, False)
-                continue
-            try:
-                res = sim.run()
+                res = FastSimulator(self.program, cfg).run()
                 outcomes[s] = GangOutcome(s, cfg, res, None, False)
             except Exception as exc:
                 outcomes[s] = GangOutcome(s, cfg, None, exc, False)
-                self._poisoned.add(s)
-
-    def _run_delegate(self, until_cycle) -> list[GangOutcome]:
-        if self._delegates is None:
-            self._delegates = []
-            for cfg in self.configs:
-                try:
-                    self._delegates.append(FastSimulator(self.program, cfg))
-                except Exception as exc:
-                    self._delegates.append(exc)
-        outs = []
-        for i, sim in enumerate(self._delegates):
-            cfg = self.configs[i]
-            if isinstance(sim, Exception):
-                outs.append(GangOutcome(i, cfg, None, sim, False))
-                continue
-            try:
-                res = sim.run(until_cycle)
-                outs.append(GangOutcome(i, cfg, res, None, False))
-            except Exception as exc:
-                outs.append(GangOutcome(i, cfg, None, exc, False))
-        self._outcomes = outs
-        return list(outs)
-
-    def _rerun(self) -> list[GangOutcome]:
-        fresh = []
-        for o in self._outcomes:
-            if o.slot in self._poisoned:
-                err = SimulationError(_POISON_MSG)
-                fresh.append(GangOutcome(o.slot, o.config, None, err,
-                                         o.ran_batched))
-            else:
-                fresh.append(o)
-        return fresh
 
 
-def simulate_gang(program, configs, backend: str | None = None,
-                  ) -> list[GangOutcome]:
+def simulate_gang(program, configs) -> list[GangOutcome]:
     """Convenience wrapper: one gang run over *configs*."""
-    return BatchedSimulator(program, configs, backend=backend).run()
+    return BatchedSimulator(program, configs).run()

@@ -632,23 +632,14 @@ def simulate(program: MachineProgram, config: MachineConfig,
     """Convenience wrapper: build a simulator and run it.
 
     ``engine`` selects the execution engine: ``"fast"`` (the specializing
-    engine in :mod:`repro.sim.fastpath`, bit-exact with the reference),
-    ``"batched"`` (the gang simulator in :mod:`repro.sim.batched`, run as a
-    gang of one), or ``"reference"``.  ``None`` defers to the
-    ``REPRO_ENGINE`` environment variable and defaults to the fast engine.
+    engine in :mod:`repro.sim.fastpath`, bit-exact with the reference) or
+    ``"reference"``.  ``None`` defers to the ``REPRO_ENGINE`` environment
+    variable and defaults to the fast engine.
     """
     from repro.sim.config import resolve_engine
 
-    resolved = resolve_engine(engine)
-    if resolved == "fast":
+    if resolve_engine(engine) == "fast":
         from repro.sim.fastpath import FastSimulator
 
         return FastSimulator(program, config).run()
-    if resolved == "batched":
-        from repro.sim.batched import simulate_gang
-
-        outcome = simulate_gang(program, [config])[0]
-        if outcome.error is not None:
-            raise outcome.error
-        return outcome.result
     return Simulator(program, config).run()

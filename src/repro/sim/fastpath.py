@@ -160,8 +160,8 @@ class _Codegen:
         self.read_reset = config.rc_model.resets_read_map_on_read
         #: Generic-maps mode emits the RC-model map maintenance gated by
         #: const flags (MWR/MRU/MRR/MRDR) instead of inlining one model's
-        #: lines, so one compiled module serves every model — the batched
-        #: engine's class leaders differ only by model and share it.  The
+        #: lines, so one compiled module serves every model — the gang
+        #: simulator's class leaders differ only by model and share it.  The
         #: flags bind as keyword defaults like every other const, so the
         #: cost is a LOAD_FAST and branch per mapped writeback.
         self.generic = generic_maps
@@ -792,7 +792,7 @@ def _compiled_generic(program, config, decoded):
     """Like :func:`_compiled`, but the module is generated in generic-maps
     mode and cached under the config *minus its RC model*: one ``compile()``
     serves every model, with the model selected per caller by patching the
-    MWR/MRU/MRR/MRDR consts.  Used by the batched engine, whose gang
+    MWR/MRU/MRR/MRDR consts.  Used by the gang simulator, whose class
     leaders differ only by model."""
     key = id(program)
     entry = _code_cache.get(key)

@@ -1,11 +1,21 @@
-"""Backward liveness dataflow over virtual registers."""
+"""Set-based reference for virtual-register liveness and interference.
+
+The compiler computes liveness as int bitmasks (:mod:`repro.ir.bitset`)
+and builds the interference graph from them.  This oracle states the same
+dataflow over plain ``set[VReg]`` values and adds interference edges
+pairwise, so property tests can check the bitmask versions against the
+textbook formulation.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.compiler.regalloc.interference import InterferenceGraph
+from repro.ir.bitset import BitLivenessInfo
 from repro.ir.cfg import reverse_postorder
 from repro.ir.function import BasicBlock, Function
+from repro.isa.opcodes import Opcode
 from repro.isa.registers import VReg
 
 
@@ -51,7 +61,7 @@ class LivenessInfo:
 
 
 def liveness(fn: Function) -> LivenessInfo:
-    """Compute per-block liveness for *fn*."""
+    """Compute per-block liveness for *fn* over its reachable blocks."""
     rpo = reverse_postorder(fn)
     use: dict[str, set[VReg]] = {}
     defs: dict[str, set[VReg]] = {}
@@ -78,11 +88,20 @@ def liveness(fn: Function) -> LivenessInfo:
     return LivenessInfo(live_in, live_out)
 
 
+def to_sets(info: BitLivenessInfo) -> LivenessInfo:
+    """The set-based :class:`LivenessInfo` equivalent to bitmask *info*."""
+    conv = info.index.set_of
+    return LivenessInfo(
+        {name: conv(m) for name, m in info.live_in.items()},
+        {name: conv(m) for name, m in info.live_out.items()},
+    )
+
+
 def max_live_pressure(fn: Function) -> dict[str, int]:
     """Maximum number of simultaneously live vregs per register class name.
 
-    A diagnostic used by tests and examples to demonstrate that ILP
-    optimization raises register pressure (the paper's motivation).
+    Shows that ILP optimization raises register pressure (the paper's
+    motivation).
     """
     info = liveness(fn)
     peak = {"int": 0, "fp": 0}
@@ -94,3 +113,47 @@ def max_live_pressure(fn: Function) -> dict[str, int]:
             for k in peak:
                 peak[k] = max(peak[k], by_cls[k])
     return peak
+
+
+def build_interference(fn: Function) -> InterferenceGraph:
+    """The interference graph of *fn*, edge by edge from set liveness.
+
+    A definition interferes with everything live after it, except that a
+    copy's destination does not interfere with its source.  Parameters are
+    defined on function entry.
+    """
+    info = liveness(fn)
+    graph = InterferenceGraph()
+    adj = graph.adj
+    for v in fn.vregs():
+        adj.setdefault(v, set())
+
+    def add_edge(a: VReg, b: VReg) -> None:
+        if a != b and a.cls is b.cls:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+
+    entry_live = info.live_in[fn.entry.name] | set(fn.params)
+    params = list(fn.params)
+    for i, p in enumerate(params):
+        for q in params[i + 1:]:
+            add_edge(p, q)
+        for other in entry_live:
+            if other != p:
+                add_edge(p, other)
+
+    for block in fn.blocks:
+        after = info.live_across_instr(block)
+        for i, instr in enumerate(block.instrs):
+            dest = instr.dest
+            if not isinstance(dest, VReg):
+                continue
+            copy_src = None
+            if instr.op in (Opcode.MOVE, Opcode.FMOV):
+                src = instr.srcs[0]
+                if isinstance(src, VReg):
+                    copy_src = src
+            for live in after[i]:
+                if live is not dest and live != copy_src:
+                    add_edge(dest, live)
+    return graph

@@ -1,6 +1,6 @@
-"""Gang-simulator tests: the batched lockstep engine vs fast vs reference.
+"""Gang-simulator tests: the batched lockstep gang vs fast vs reference.
 
-The batched engine (:mod:`repro.sim.batched`) simulates N configs in one
+The gang simulator (:mod:`repro.sim.batched`) simulates N configs in one
 pass — decode and specialization shared, per-config state in flat arrays,
 followers replaying the leader's trace timing-only.  Every slot must be
 bit-exact with a single-config fast run (itself parity-gated against the
@@ -18,18 +18,15 @@ from repro.errors import ConfigError, CycleBudgetError, SimulationError
 from repro.isa import Instr, Opcode, PhysReg, RClass
 from repro.rc import RCModel
 from repro.sim import (
-    BACKEND_ENV,
+    VALID_ENGINES,
     BatchedSimulator,
     FastSimulator,
     Simulator,
     assemble,
-    numpy_available,
     paper_machine,
-    resolve_backend,
-    simulate,
+    resolve_engine,
     simulate_gang,
 )
-from repro.sim.config import VALID_ENGINES
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload
 
 GANG_MODELS = (RCModel.NO_RESET, RCModel.WRITE_RESET_READ_UPDATE,
@@ -86,9 +83,8 @@ def test_gang_of_one_equals_fast():
     name = ALL_BENCHMARKS[0]
     program = _program(name)
     cfg = paper_machine(issue_width=4, rc_class=_rc_class(name))
-    sim = BatchedSimulator(program, [cfg])
-    outcomes = sim.run()
-    assert len(outcomes) == 1 and sim.ran_batched
+    outcomes = BatchedSimulator(program, [cfg]).run()
+    assert len(outcomes) == 1 and outcomes[0].ran_batched
     single = FastSimulator(program, cfg).run()
     _assert_slot_equals(outcomes[0], single, "gang-of-1")
 
@@ -124,7 +120,7 @@ class TestRetirement:
             single = FastSimulator(program, cfg).run()
             _assert_slot_equals(outcome, single, f"slot{i}")
 
-    def test_budget_slot_rerun_refuses_like_both_engines(self):
+    def test_budget_slot_rerun_returns_same_outcomes(self):
         name = ALL_BENCHMARKS[0]
         program = _program(name)
         cfgs = _gang_configs(name)[:3]
@@ -132,25 +128,11 @@ class TestRetirement:
         sim = BatchedSimulator(program, cfgs)
         first = sim.run()
         assert isinstance(first[1].error, CycleBudgetError)
-        again = sim.run()
-        # Healthy slots return their results; the failed slot refuses with
-        # the same poisoned-state diagnostic both engines use.
-        _assert_slot_equals(again[0], first[0].result, "rerun slot0")
-        _assert_slot_equals(again[2], first[2].result, "rerun slot2")
-        assert isinstance(again[1].error, SimulationError)
+        # The gang runs once: a second run() reports the same outcomes,
+        # the retired slot included.
+        assert sim.run() == first
 
-        def rerun_message(cls):
-            single = cls(program, cfgs[1])
-            with pytest.raises(CycleBudgetError):
-                single.run()
-            with pytest.raises(SimulationError) as exc:
-                single.run()
-            return str(exc.value)
-
-        assert str(again[1].error) == rerun_message(FastSimulator)
-        assert str(again[1].error) == rerun_message(Simulator)
-
-    def test_faulting_program_poisons_and_refuses_identically(self):
+    def test_faulting_program_fails_identically(self):
         prog = assemble([
             Instr(Opcode.LI, dest=PhysReg(RClass.INT, 5), imm=4),
             Instr(Opcode.LI, dest=PhysReg(RClass.INT, 6), imm=0),
@@ -160,37 +142,12 @@ class TestRetirement:
         ])
         cfgs = [paper_machine(issue_width=w, rc_class=RClass.INT)
                 for w in GANG_WIDTHS]
-        sim = BatchedSimulator(prog, cfgs)
-        outcomes = sim.run()
+        outcomes = BatchedSimulator(prog, cfgs).run()
         for cfg, outcome in zip(cfgs, outcomes):
             with pytest.raises(SimulationError) as ref_exc:
                 Simulator(prog, cfg).run()
             assert type(outcome.error) is type(ref_exc.value)
             assert str(outcome.error) == str(ref_exc.value)
-        again = sim.run()
-        for outcome in again:
-            assert isinstance(outcome.error, SimulationError)
-            assert "cannot resume" in str(outcome.error)
-
-
-def test_until_cycle_segmented_gang_parity():
-    """Segmenting a whole gang with until_cycle converges to the full run."""
-    name = ALL_BENCHMARKS[2]
-    program = _program(name)
-    configs = _gang_configs(name)[:4]
-    full = BatchedSimulator(program, configs).run()
-    seg_sim = BatchedSimulator(program, configs)
-    horizon = 500
-    outcomes = seg_sim.run(until_cycle=horizon)
-    guard = 10_000
-    while not all(o.result is not None and o.result.halted
-                  for o in outcomes):
-        horizon += 500
-        guard -= 1
-        assert guard > 0, "segmented gang failed to make progress"
-        outcomes = seg_sim.run(until_cycle=horizon)
-    for a, b in zip(outcomes, full):
-        _assert_slot_equals(a, b.result, f"segmented slot{a.slot}")
 
 
 def test_rerun_returns_same_results():
@@ -199,61 +156,14 @@ def test_rerun_returns_same_results():
     configs = _gang_configs(name)[:3]
     sim = BatchedSimulator(program, configs)
     first = sim.run()
-    second = sim.run()
-    for a, b in zip(first, second):
-        _assert_slot_equals(b, a.result, f"rerun slot{b.slot}")
-
-
-class TestBackends:
-    def test_resolve_backend_defaults(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == "python"
-        assert resolve_backend("auto") == "python"
-        with pytest.raises(ConfigError, match="unknown batched backend"):
-            resolve_backend("turbo")
-
-    def test_resolve_backend_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert resolve_backend() == "python"
-        # an explicit argument beats the environment
-        if numpy_available():
-            assert resolve_backend("numpy") == "numpy"
-
-    @pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
-    def test_numpy_backend_parity(self):
-        name = ALL_BENCHMARKS[0]
-        program = _program(name)
-        configs = _gang_configs(name)
-        py = BatchedSimulator(program, configs, backend="python").run()
-        np_ = BatchedSimulator(program, configs, backend="numpy").run()
-        for a, b in zip(py, np_):
-            assert a.error is None and b.error is None
-            assert a.result.stats == b.result.stats
-            assert a.result.state.memory == b.result.state.memory
-            assert a.result.state.int_regs == b.result.state.int_regs
-            assert a.result.state.fp_regs == b.result.state.fp_regs
+    assert all(o.error is None for o in first)
+    assert sim.run() == first
 
 
 class TestDispatch:
-    def test_valid_engines_includes_batched(self):
-        assert "batched" in VALID_ENGINES
-
-    def test_simulate_engine_batched(self):
-        name = ALL_BENCHMARKS[0]
-        program = _program(name)
-        cfg = paper_machine(issue_width=2, rc_class=_rc_class(name))
-        batched = simulate(program, cfg, engine="batched")
-        fast = simulate(program, cfg, engine="fast")
-        assert batched.stats == fast.stats
-        assert batched.state.memory == fast.state.memory
-
-    def test_simulate_engine_batched_raises_slot_error(self):
-        name = ALL_BENCHMARKS[0]
-        cfg = dataclasses.replace(
-            paper_machine(issue_width=1, rc_class=_rc_class(name)),
-            max_cycles=50)
-        with pytest.raises(CycleBudgetError):
-            simulate(_program(name), cfg, engine="batched")
+    def test_resolve_engine_reads_batched_as_fast(self):
+        assert "batched" not in VALID_ENGINES
+        assert resolve_engine("batched") == "fast"
 
     def test_empty_gang_rejected(self):
         name = ALL_BENCHMARKS[0]
@@ -268,8 +178,7 @@ def test_run_gang_matches_run(tmp_path):
     name = ALL_BENCHMARKS[0]
     configs = [paper_machine(issue_width=4, rc_class=_rc_class(name),
                              extra_decode_stage=e) for e in (False, True)]
-    gang_runner = ExperimentRunner(cache_dir=tmp_path / "gang",
-                                   engine="batched")
+    gang_runner = ExperimentRunner(cache_dir=tmp_path / "gang")
     outcomes = gang_runner.run_gang(name, configs)
     ref_runner = ExperimentRunner(cache_dir=tmp_path / "ref", engine="fast")
     for cfg, (record, error) in zip(configs, outcomes):
@@ -285,7 +194,7 @@ def test_run_gang_rejects_mixed_compile_keys():
     from repro.experiments import ExperimentRunner
 
     name = ALL_BENCHMARKS[0]
-    runner = ExperimentRunner(engine="batched")
+    runner = ExperimentRunner()
     configs = [paper_machine(issue_width=w, rc_class=_rc_class(name))
                for w in (1, 2)]
     with pytest.raises(ValueError, match="compile keys"):

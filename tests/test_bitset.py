@@ -2,9 +2,8 @@
 
 Random CFGs — straight-line runs, if/else diamonds, counted loops, dead
 blocks — are checked for exact equality between :mod:`repro.ir.bitset` and
-the executable set-based specifications (:func:`repro.ir.liveness.liveness`
-and the pairwise interference construction, which ``build_interference``
-keeps alive for exactly this purpose).
+the set-based reference in ``liveness_oracle`` (set liveness and the
+pairwise interference construction).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler.regalloc.interference import build_interference
 from repro.ir import FnBuilder, Module
 from repro.ir.bitset import VRegIndex, bit_liveness
-from repro.ir.liveness import liveness
+
+from liveness_oracle import build_interference as build_interference_sets
+from liveness_oracle import liveness, to_sets
 
 N_VARS = 5
 N_FVARS = 2
@@ -108,7 +109,7 @@ def test_liveness_masks_equal_reference_sets(spec):
     fn = build_function(spec, with_dead=spec[2])
     ref = liveness(fn)
     bit = bit_liveness(fn)
-    as_sets = bit.to_sets()
+    as_sets = to_sets(bit)
     assert as_sets.live_in == ref.live_in
     assert as_sets.live_out == ref.live_out
     conv = bit.index.set_of
@@ -123,7 +124,7 @@ def test_liveness_masks_equal_reference_sets(spec):
 def test_interference_masks_equal_reference_pairs(spec):
     fn = build_function(spec, with_dead=False)
     mask_graph = build_interference(fn)
-    set_graph = build_interference(fn, liveness(fn))
+    set_graph = build_interference_sets(fn)
     assert mask_graph.adj == set_graph.adj
 
 

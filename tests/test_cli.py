@@ -41,6 +41,11 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "doom"])
 
+    def test_batched_engine_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "cmp", "--engine", "batched"])
+        assert "invalid choice: 'batched'" in capsys.readouterr().err
+
 
 class TestDisasm:
     def test_disasm_head(self, capsys):

@@ -6,6 +6,7 @@ invalidation, and serial/parallel sweep equivalence.
 """
 
 import dataclasses
+import multiprocessing
 import pickle
 
 import pytest
@@ -381,12 +382,10 @@ class TestProcessSafeCounters:
                                                     extra_decode_stage=True))]
         SweepExecutor(runner=runner, jobs=2).run(jobs)
         assert runner.cache_misses == 3
-        # All three jobs share one compile key; how the hits and misses
-        # split depends on which workers the jobs landed on, but the total
-        # compile traffic must be fully accounted for (and each worker that
-        # compiled did so exactly once).
-        assert runner.compile_hits + runner.compile_misses == 3
-        assert 1 <= runner.compile_misses <= 2
+        # All three jobs share one compile key, so one worker simulates
+        # them as one gang from a single compilation; the parent's totals
+        # still see that worker's compile traffic.
+        assert runner.compile_misses == 1 and runner.compile_hits == 0
 
     def test_serial_counters_unchanged(self, tmp_path):
         runner = ExperimentRunner(scale=1, cache_dir=tmp_path / "c")
@@ -512,3 +511,51 @@ class TestFrontEndMemo:
         assert {e.split(":")[0] for e in entries} == {str(os.getpid())}
         assert set(runner._golden) == {"cmp", "grep"}
         assert not executor_mod._worker_runners
+
+
+class TestGangs:
+    """A cache-miss compile group of several points simulates as one gang;
+    every other point runs on the fast engine by itself."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_figure12_gangs_match_reference(self, tmp_path, monkeypatch,
+                                            jobs):
+        from repro.experiments import figure12
+        from repro.sim import BatchedSimulator
+
+        # Gang sizes go to a file so pool workers' gangs are seen too.
+        log = tmp_path / "gangs.log"
+        real = BatchedSimulator.run
+
+        def logged(self):
+            with open(log, "a") as fh:
+                fh.write(f"{len(self.configs)}\n")
+            return real(self)
+
+        monkeypatch.setattr(BatchedSimulator, "run", logged)
+        runner = ExperimentRunner(scale=1, cache_dir=tmp_path / "gang")
+        ex = SweepExecutor(runner=runner, jobs=jobs)
+        sweep = ex.collect_jobs(figure12, benchmarks=("cmp",))
+        results = ex.run(sweep)
+        # The extra mapping-table stage is figure12's only simulate-only
+        # axis: two compile groups of two points each, plus the baseline.
+        assert ex.stats.gangs == 2 and ex.stats.max_gang == 2
+        if multiprocessing.get_start_method() == "fork" or jobs == 1:
+            assert log.read_text().split() == ["2", "2"]
+
+        ref = ExperimentRunner(scale=1, cache_dir=tmp_path / "ref",
+                               engine="reference")
+        ref_results = SweepExecutor(runner=ref, jobs=1).run(sweep)
+        assert all(r.error is None for r in results)
+        for got, want in zip(results, ref_results):
+            assert dataclasses.asdict(got.record) \
+                == dataclasses.asdict(want.record), got.job.config.describe()
+
+    def test_cpi_groups_do_not_gang(self, runner):
+        cfg = unlimited_machine(issue_width=4)
+        jobs = [SweepJob("cmp", cfg, collect_cpi=True),
+                SweepJob("cmp", dataclasses.replace(
+                    cfg, extra_decode_stage=True), collect_cpi=True)]
+        ex = SweepExecutor(runner=runner, jobs=1)
+        ex.run(jobs)
+        assert ex.stats.gangs == 0 and ex.stats.groups == 1

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.ir import FnBuilder, Module
-from repro.ir.interp import IR_ENGINE_ENV, Interpreter, resolve_ir_engine
+from repro.ir.interp import Interpreter, resolve_ir_engine
 from repro.workloads import ALL_BENCHMARKS, build_workload
 
 from helpers import call_module, diamond_module, fp_module, sum_to_n_module
@@ -139,27 +139,14 @@ class TestStrictLoads:
 
 
 class TestEngineDispatch:
-    def test_resolve_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv(IR_ENGINE_ENV, raising=False)
+    def test_resolve_default_is_fast(self):
         assert resolve_ir_engine() == "fast"
         assert resolve_ir_engine("auto") == "fast"
-
-    def test_resolve_env_override(self, monkeypatch):
-        monkeypatch.setenv(IR_ENGINE_ENV, "reference")
-        assert resolve_ir_engine() == "reference"
-        # An explicit argument wins over the environment.
-        assert resolve_ir_engine("fast") == "fast"
+        assert resolve_ir_engine("reference") == "reference"
 
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ConfigError, match="unknown IR engine"):
             resolve_ir_engine("turbo")
-
-    def test_env_selects_engine_for_interpreter(self, monkeypatch):
-        monkeypatch.setenv(IR_ENGINE_ENV, "reference")
-        interp = Interpreter(sum_to_n_module(5))
-        interp.run()
-        assert interp.engine == "reference"
-        assert not interp.ran_fastpath
 
     def test_fast_flag_set_only_on_fast_runs(self):
         interp = Interpreter(sum_to_n_module(5), engine="fast")

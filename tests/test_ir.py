@@ -7,9 +7,7 @@ from repro.ir import (
     FnBuilder,
     Module,
     dominators,
-    liveness,
     loop_depths,
-    max_live_pressure,
     natural_loops,
     predecessors,
     reverse_postorder,
@@ -19,6 +17,7 @@ from repro.ir import (
 from repro.isa import Imm, Instr, Opcode, RClass
 
 from helpers import call_module, diamond_module, fp_module, sum_to_n_module
+from liveness_oracle import liveness, max_live_pressure
 
 
 class TestModule:

@@ -255,7 +255,9 @@ class TestService:
     def test_bad_requests_are_400(self, client):
         for kind, payload in [("bogus", {}), ("simulate", {}),
                               ("simulate", {"benchmark": "nope"}),
-                              ("sweep", {"figure": "nope"})]:
+                              ("sweep", {"figure": "nope"}),
+                              ("sweep", {"figure": "figure12",
+                                         "engine": "batched"})]:
             with pytest.raises(ServeError) as err:
                 client.submit(kind, payload)
             assert err.value.status == 400
