@@ -53,8 +53,9 @@ from repro.workloads import ALL_BENCHMARKS, build_workload, workload  # noqa: E4
 ISSUE_RATES = (1, 2, 4, 8)
 
 #: The batched-sweep matrix per benchmark: every RC reset model × issue
-#: width × extra-decode toggle — 40 configs, one compiled program, the
-#: shape of a figure sweep.
+#: width × extra-decode toggle — 40 configs over one compiled program,
+#: simulated as one gang of 8 per reset model (a gang is one architectural
+#: class).
 SWEEP_WIDTHS = (1, 2, 4, 8)
 
 
@@ -170,21 +171,23 @@ def bench_micro(repeat: int) -> tuple[dict, list]:
     return bench_point(program, cfg, "microbench", repeat)
 
 
-def _sweep_configs(rc_class):
-    return [paper_machine(issue_width=width, rc_class=rc_class,
-                          rc_model=model, extra_decode_stage=extra)
-            for model in RCModel for width in SWEEP_WIDTHS
-            for extra in (False, True)]
+def _sweep_gangs(rc_class):
+    """One config list per RC model: its widths × extra-decode toggle."""
+    return [[paper_machine(issue_width=width, rc_class=rc_class,
+                           rc_model=model, extra_decode_stage=extra)
+             for width in SWEEP_WIDTHS for extra in (False, True)]
+            for model in RCModel]
 
 
 def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
-    """Sweep throughput: per-config fast runs vs one lockstep gang.
+    """Sweep throughput: per-config fast runs vs one lockstep gang per
+    RC model.
 
     Per benchmark, one compiled program sweeps the full model × width ×
     extra-decode matrix (40 configs).  The baseline is the current fast
-    path, one run per config; the gang simulates all 40 in one pass.  Every
-    gang slot is compared field-by-field against its single-config fast
-    run — the parity gate.
+    path, one run per config; the gangs simulate each model's 8 configs in
+    one pass.  Every gang slot is compared field-by-field against its
+    single-config fast run — the parity gate.
     """
     points, problems = [], []
     for name in ALL_BENCHMARKS:
@@ -193,13 +196,15 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
         module = build_workload(name, scale=scale)
         program = compile_module(
             module, paper_machine(issue_width=1, rc_class=rc_class)).program
-        configs = _sweep_configs(rc_class)
+        gangs = _sweep_gangs(rc_class)
+        configs = [cfg for gang in gangs for cfg in gang]
 
-        # Warmup + parity gate: per-slot comparison of one gang against
+        # Warmup + parity gate: per-slot comparison of the gangs against
         # single fast runs.
         singles = [FastSimulator(program, cfg).run() for cfg in configs]
-        gang = BatchedSimulator(program, configs).run()
-        for cfg, single, slot in zip(configs, singles, gang):
+        slots = [slot for gang in gangs
+                 for slot in BatchedSimulator(program, gang).run()]
+        for cfg, single, slot in zip(configs, singles, slots):
             label = (f"{name} w{cfg.issue_width} m{cfg.rc_model.value}"
                      f" x{int(cfg.extra_decode_stage)}")
             if slot.error is not None:
@@ -224,7 +229,8 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
         def gang_pass():
             prog = copy.deepcopy(program)
             t0 = time.perf_counter()
-            BatchedSimulator(prog, configs).run()
+            for gang in gangs:
+                BatchedSimulator(prog, gang).run()
             return time.perf_counter() - t0
 
         gang_s = min(gang_pass() for _ in range(repeat))
@@ -243,7 +249,8 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
     insns = sum(p["instructions"] for p in points)
     summary = {
         "points": points,
-        "configs_per_benchmark": len(_sweep_configs(RClass.INT)),
+        "configs_per_benchmark": sum(map(len, _sweep_gangs(RClass.INT))),
+        "gangs_per_benchmark": len(_sweep_gangs(RClass.INT)),
         "instructions": insns,
         "fast_seconds": fast_s,
         "batched_seconds": gang_s,
@@ -299,7 +306,8 @@ def main(argv=None) -> int:
           f"fast {micro['fast_insns_per_sec']:.0f} insns/s "
           f"-> {micro['speedup']:.2f}x")
     print(f"batched sweep ({len(sweep['points'])} benchmarks x "
-          f"{sweep['configs_per_benchmark']} configs): "
+          f"{sweep['configs_per_benchmark']} configs in "
+          f"{sweep['gangs_per_benchmark']} gangs): "
           f"fast {sweep['fast_points_per_sec']:.1f} points/s, "
           f"batched {sweep['batched_points_per_sec']:.1f} points/s "
           f"-> {sweep['speedup']:.2f}x")

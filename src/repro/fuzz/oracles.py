@@ -108,27 +108,41 @@ def _outcome(run):
 GANG_MODELS = (RCModel.NO_RESET, RCModel.WRITE_RESET,
                RCModel.READ_WRITE_RESET)
 
+#: Divergence labels: the models x widths matrix ``opt_parity`` runs, and
+#: the one gang per model ``batched_parity`` runs over it.
+GANG_MATRIX = (f"m{{{','.join(str(m.value) for m in GANG_MODELS)}}}"
+               f"xw{{{','.join(str(w) for w in FUZZ_WIDTHS)}}}")
+GANG_PER_MODEL = f"gang-per-model {GANG_MATRIX}"
 
-def gang_configs() -> list[MachineConfig]:
-    """The gang-of-9 batched-parity matrix: models {1,2,4} x widths {1,2,4}."""
+
+def gang_configs(model: RCModel) -> list[MachineConfig]:
+    """One model's row of the gang matrix: *model* at every fuzz width."""
     return [_bounded(paper_machine(issue_width=width, int_core=16, fp_core=16,
                                    rc_class=RClass.INT, rc_model=model))
-            for model in GANG_MODELS for width in FUZZ_WIDTHS]
+            for width in FUZZ_WIDTHS]
 
 
 def batched_parity(program) -> str | None:
-    """One gang-of-9 lockstep run vs nine single fast runs vs reference.
+    """One lockstep gang per model in :data:`GANG_MODELS` over
+    :data:`FUZZ_WIDTHS`, each slot vs a single fast run vs reference.
 
-    Every slot of the gang must match its config's single-config fast run
-    *and* the reference engine bit-exactly: full :class:`SimStats`, memory,
-    both register files, halting state — and when the point faults, the
-    exact exception type and message.  A slot that retires early (fault,
-    budget) must leave every other slot untouched, which this oracle checks
-    implicitly by comparing all nine slots of the same gang.
+    Every slot must match its config's single-config fast run *and* the
+    reference engine bit-exactly: full :class:`SimStats`, memory, both
+    register files, halting state — and when the point faults, the exact
+    exception type and message.  A slot that retires early (fault, budget)
+    must leave every other slot untouched, which this oracle checks
+    implicitly by comparing every slot of the same gang.
     """
+    for model in GANG_MODELS:
+        problem = _gang_parity(program, gang_configs(model))
+        if problem is not None:
+            return problem
+    return None
+
+
+def _gang_parity(program, configs) -> str | None:
     from repro.sim import simulate_gang
 
-    configs = gang_configs()
     gang_exc, gang = _outcome(lambda: simulate_gang(program, configs))
     if gang_exc is not None:
         return f"gang run raised {gang_exc!r}"
@@ -176,7 +190,7 @@ def opt_parity(program) -> str | None:
     """
     from repro.analyze import optimize_connects
 
-    for config in gang_configs():
+    for config in (c for m in GANG_MODELS for c in gang_configs(m)):
         tag = f"w{config.issue_width}-m{config.rc_model.value}"
         opt_exc, result = _outcome(
             lambda c=config: optimize_connects(program, c))

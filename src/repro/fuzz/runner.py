@@ -44,6 +44,8 @@ from repro.fuzz.mutate import mutate_program
 from repro.fuzz.oracles import (
     FUZZ_MODELS,
     FUZZ_WIDTHS,
+    GANG_MATRIX,
+    GANG_PER_MODEL,
     Divergence,
     batched_parity,
     checker_soundness,
@@ -186,7 +188,7 @@ class _Session:
         predicate = lambda p: opt_parity(p) is not None  # noqa: E731
         self._record(Divergence(
             oracle="opt-parity", detail=problem, level="asm", seed=seed,
-            config="gang-of-9",
+            config=GANG_MATRIX,
             reproducer=self._shrunk_asm(program, predicate)))
 
     def _check_batched(self, program, seed) -> None:
@@ -197,7 +199,7 @@ class _Session:
         predicate = lambda p: batched_parity(p) is not None  # noqa: E731
         self._record(Divergence(
             oracle="batched-parity", detail=problem, level="asm", seed=seed,
-            config="gang-of-9",
+            config=GANG_PER_MODEL,
             reproducer=self._shrunk_asm(program, predicate)))
 
     def _check_resume(self, program, config, seed) -> None:
@@ -410,14 +412,14 @@ class _Session:
         if problem is not None:
             self._record(Divergence(
                 oracle="batched-parity", detail=problem, level="asm",
-                case_name=case.name, config="gang-of-9",
+                case_name=case.name, config=GANG_PER_MODEL,
                 reproducer=case.text))
         self.report.bump("opt_runs")
         problem = opt_parity(program)
         if problem is not None:
             self._record(Divergence(
                 oracle="opt-parity", detail=problem, level="asm",
-                case_name=case.name, config="gang-of-9",
+                case_name=case.name, config=GANG_MATRIX,
                 reproducer=case.text))
 
     def _replay_ir(self, case) -> None:

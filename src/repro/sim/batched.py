@@ -14,11 +14,13 @@ things happen, never *what* happens.  (Values are computed in program
 order at issue; map updates are value-independent; ``tests/test_batched.py``
 and the ``batched_parity`` fuzz oracle gate this bit-exactly.)
 
-So a gang of N configs partitions into *architectural classes* by
-``(rc_model, int_spec, fp_spec)``:
+So a gang is one *architectural class*: its configs share
+``(rc_model, int_spec, fp_spec)``, and a config list spanning more than one
+class raises :class:`~repro.errors.ConfigError`.
 
-* one **leader** per class (the slot with the largest cycle budget) runs the
-  full fast path once, recording a ``(block, iterations)`` execution trace;
+* the **leader** (the slot with the largest cycle budget) is an ordinary
+  :class:`~repro.sim.fastpath.FastSimulator` for its config, run once while
+  recording a ``(block, iterations)`` execution trace;
 * every **follower** replays timing only — scoreboard ready times, mapping
   busy times, group packing, stalls, redirects — against the leader's
   branch outcomes, never touching a register value, and copies the leader's
@@ -30,8 +32,6 @@ executor gangs a compile group (points sharing one compiled program) when
 it has more than one point.  The compile key fixes the RC model and both
 register specs, so a sweep's gang is always one class whose slots differ
 only in simulate-only fields such as ``extra_decode_stage`` (Figure 12).
-Multi-class gangs serve ``benchmarks/bench_simspeed.py`` and the
-``batched_parity`` fuzz oracle.
 
 Followers accelerate hot self-loop blocks with the bundle-signature idea
 generalized to mapped operands: an iteration's timing effect is memoized
@@ -142,7 +142,7 @@ class _Plan:
         self.statics = statics
 
 
-def _connect_targets(dec, ient, fent):
+def _connect_targets(dec):
     """Mapping-table slots whose content can ever leave its home mapping.
 
     Only CONNECT writes a non-home value into a map entry; automatic resets
@@ -378,38 +378,28 @@ def _find_segments(tp, tn, binfo, plans):
 
 
 class _ReplayContext:
-    """Per-class immutable inputs shared by every follower replay.
-
-    Everything except the trace and its segment index depends only on
-    ``(dec, ient, fent)`` — the gang's classes share those (they differ
-    only by RC model), so callers pass the first class's ``tables`` back
-    in and skip the plan/block analysis for the rest.
-    """
+    """The gang's immutable inputs, shared by every follower replay."""
 
     __slots__ = ("program", "dec", "n", "tp", "tn", "lflags", "plans",
                  "plan_list", "binfo", "binfo_list", "segs", "seg_list",
-                 "trapdst", "ient", "fent", "tables")
+                 "trapdst", "ient", "fent")
 
-    def __init__(self, program, dec, trace, ient, fent, tables=None):
+    def __init__(self, program, dec, trace, ient, fent):
         self.program = program
         self.dec = dec
         self.n = len(dec)
         self.tp, self.tn = trace
-        if tables is None:
-            blocks = program_blocks(program, dec)
-            flags = bytearray(self.n)
-            for lead, _body in blocks:
-                flags[lead] = 1
-            targ = _connect_targets(dec, ient, fent)
-            plans, plan_list = _build_plans(dec, blocks, ient, fent, targ)
-            binfo, binfo_list = _build_binfo(dec, blocks, ient, fent, targ,
-                                             plans)
-            trapdst = [program.trap_handlers.get(d.imm)
-                       if d.kind == K_TRAP else None for d in dec]
-            tables = (flags, plans, plan_list, binfo, binfo_list, trapdst)
-        self.tables = tables
-        (self.lflags, self.plans, self.plan_list, self.binfo,
-         self.binfo_list, self.trapdst) = tables
+        blocks = program_blocks(program, dec)
+        self.lflags = bytearray(self.n)
+        for lead, _body in blocks:
+            self.lflags[lead] = 1
+        targ = _connect_targets(dec)
+        self.plans, self.plan_list = _build_plans(dec, blocks, ient, fent,
+                                                  targ)
+        self.binfo, self.binfo_list = _build_binfo(dec, blocks, ient, fent,
+                                                   targ, self.plans)
+        self.trapdst = [program.trap_handlers.get(d.imm)
+                        if d.kind == K_TRAP else None for d in dec]
         self.segs, self.seg_list = _find_segments(self.tp, self.tn,
                                                   self.binfo, self.plans)
         self.ient = ient
@@ -1115,90 +1105,69 @@ def _follower_stats(leader_stats: SimStats, cycles, st0, st1, st2,
 # -- the gang ------------------------------------------------------------------
 
 class BatchedSimulator:
-    """Simulate one program under N machine configs in one pass.
+    """Simulate one program under N configs of one architectural class.
 
-    ``run()`` returns a list of :class:`GangOutcome`, one per config slot in
-    input order.  Slots that fault or exhaust their budget carry the
-    exception in ``outcome.error``; the rest of the gang is undisturbed.
-    The gang runs once: a repeated ``run()`` returns the same outcomes.
+    Every config must share ``(rc_model, int_spec, fp_spec)``; a list
+    spanning more than one class raises :class:`ConfigError`.  ``run()``
+    returns a list of :class:`GangOutcome`, one per config slot in input
+    order.  Slots that fault or exhaust their budget carry the exception in
+    ``outcome.error``; the rest of the gang is undisturbed.  The gang runs
+    once: a repeated ``run()`` returns the same outcomes.
     """
 
     def __init__(self, program, configs) -> None:
         if not configs:
             raise ConfigError("batched gang needs at least one config")
+        classes = {(c.rc_model, c.int_spec, c.fp_spec) for c in configs}
+        if len(classes) > 1:
+            raise ConfigError(
+                f"batched gang configs span {len(classes)} architectural "
+                f"classes; a gang shares (rc_model, int_spec, fp_spec)")
         self.program = program
         self.configs = list(configs)
         self._outcomes: list[GangOutcome] | None = None
-        #: decode lists shared across class leaders, keyed on the config
-        #: axes decode actually reads: (latency, int_spec, fp_spec).
-        self._shared_dec: list = []
-        #: replay tables shared across classes, keyed (id(dec), ient, fent)
-        #: — the dec list is pinned by _shared_dec, so ids stay unique.
-        self._shared_tables: dict = {}
 
     # -- public API -------------------------------------------------------------
 
     def run(self) -> list[GangOutcome]:
         if self._outcomes is None:
-            outcomes: list[GangOutcome] = [None] * len(self.configs)  # type: ignore
-            by_class: dict = {}
-            for i, cfg in enumerate(self.configs):
-                key = (cfg.rc_model, cfg.int_spec, cfg.fp_spec)
-                by_class.setdefault(key, []).append(i)
-            for slots in by_class.values():
-                self._run_class(slots, outcomes)
-            self._outcomes = outcomes
+            self._outcomes = self._run_gang()
         return list(self._outcomes)
 
     # -- gang execution ---------------------------------------------------------
 
-    def _run_class(self, slots, outcomes) -> None:
+    def _run_gang(self) -> list[GangOutcome]:
         configs = self.configs
+        slots = range(len(configs))
         lead_slot = max(slots, key=lambda s: configs[s].max_cycles)
         lcfg = configs[lead_slot]
-        dkey = (lcfg.latency, lcfg.int_spec, lcfg.fp_spec)
-        shared = next((d for k, d in self._shared_dec if k == dkey), None)
         try:
-            # generic_maps: the class leaders differ only by RC model, so
-            # they share one generically-generated compile() with the model
-            # selected through const flags (see fastpath._compiled_generic).
-            leader = FastSimulator(self.program, lcfg, decoded=shared,
-                                   generic_maps=True)
+            leader = FastSimulator(self.program, lcfg)
         except Exception as exc:
             # Decode/validation failure is a class property (it depends only
             # on the program and the register specs): every slot raises it.
-            for s in slots:
-                outcomes[s] = GangOutcome(s, configs[s], None, exc, True)
-            return
-        if shared is None:
-            self._shared_dec.append((dkey, leader._ref._decoded))
-        if (leader._compiled_entry is None
-                or not _replay_supported(leader._ref._decoded)):
-            self._delegate_slots(slots, outcomes)
-            return
+            return [GangOutcome(s, cfg, None, exc, True)
+                    for s, cfg in enumerate(configs)]
+        dec = leader._ref._decoded
+        if leader._compiled_entry is None or not _replay_supported(dec):
+            return [self._delegate(s) for s in slots]
         trace = (array("q"), array("q"))
         try:
             lres = leader._run_fast(trace=trace)
             leader.ran_fastpath = True
         except Exception as exc:
-            outcomes[lead_slot] = GangOutcome(lead_slot, lcfg, None, exc,
-                                              True)
-            rest = [s for s in slots if s != lead_slot]
-            if rest:
-                self._delegate_slots(rest, outcomes)
-            return
-        outcomes[lead_slot] = GangOutcome(lead_slot, lcfg, lres, None, True)
-        followers = [s for s in slots if s != lead_slot]
-        if not followers:
-            return
-        dec = leader._ref._decoded
+            return [GangOutcome(s, lcfg, None, exc, True) if s == lead_slot
+                    else self._delegate(s) for s in slots]
+        outcomes = [GangOutcome(lead_slot, lcfg, lres, None, True)
+                    if s == lead_slot else None for s in slots]
+        if len(configs) == 1:
+            return outcomes
         ient = lcfg.int_spec.core if lcfg.int_spec.has_rc else 0
         fent = lcfg.fp_spec.core if lcfg.fp_spec.has_rc else 0
-        tkey = (id(dec), ient, fent)
-        ctx = _ReplayContext(self.program, dec, trace, ient, fent,
-                             tables=self._shared_tables.get(tkey))
-        self._shared_tables[tkey] = ctx.tables
-        for s in followers:
+        ctx = _ReplayContext(self.program, dec, trace, ient, fent)
+        for s in slots:
+            if s == lead_slot:
+                continue
             cfg = configs[s]
             try:
                 cycles, st0, st1, st2, st3 = _replay(ctx, cfg)
@@ -1210,15 +1179,15 @@ class BatchedSimulator:
             outcomes[s] = GangOutcome(
                 s, cfg, SimResult(stats=stats, state=state, halted=True),
                 None, True)
+        return outcomes
 
-    def _delegate_slots(self, slots, outcomes) -> None:
-        for s in slots:
-            cfg = self.configs[s]
-            try:
-                res = FastSimulator(self.program, cfg).run()
-                outcomes[s] = GangOutcome(s, cfg, res, None, False)
-            except Exception as exc:
-                outcomes[s] = GangOutcome(s, cfg, None, exc, False)
+    def _delegate(self, s: int) -> GangOutcome:
+        cfg = self.configs[s]
+        try:
+            res = FastSimulator(self.program, cfg).run()
+            return GangOutcome(s, cfg, res, None, False)
+        except Exception as exc:
+            return GangOutcome(s, cfg, None, exc, False)
 
 
 def simulate_gang(program, configs) -> list[GangOutcome]:

@@ -1,6 +1,6 @@
 """Pipeline tracing and text visualization.
 
-Uses the simulator's per-issue hook to record ``(cycle, pc)`` pairs and
+Listens to the simulator's issue events to record ``(cycle, pc)`` pairs and
 renders them as an annotated listing: a ``|`` marks the start of each issue
 group, so issue-width utilization and stalls are visible at a glance —
 exactly the view needed to see zero-cycle connects sharing a cycle with
@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.isa.asmfmt import format_instr
+from repro.observe.events import IssueEvent, Observer
 from repro.sim.config import MachineConfig
 from repro.sim.core import Simulator
 from repro.sim.program import MachineProgram
@@ -130,12 +131,16 @@ def capture_trace(program: MachineProgram, config: MachineConfig,
     trace = PipelineTrace(program, config)
     events = trace.events
 
-    def hook(cycle: int, pc: int) -> None:
+    def on_event(event) -> None:
+        if not isinstance(event, IssueEvent):
+            return
         if len(events) < limit:
-            events.append((cycle, pc))
+            events.append((event.cycle, event.pc))
         else:
             trace.truncated = True
 
-    result = Simulator(program, config, trace_hook=hook).run()
+    observer = Observer(keep_events=False)
+    observer.subscribe(on_event)
+    result = Simulator(program, config, observer=observer).run()
     trace.stats = result.stats
     return trace
