@@ -16,7 +16,8 @@ PACKAGES = [
 ]
 EXTRA_MODULES = [
     "repro.isa.asmparse", "repro.isa.encoding", "repro.sim.tracing",
-    "repro.sim.os_model", "repro.workloads.analysis", "repro.cli",
+    "repro.sim.os_model", "repro.workloads.analysis", "repro.store",
+    "repro.cli",
 ]
 
 

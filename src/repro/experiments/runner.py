@@ -3,8 +3,8 @@
 One :class:`ExperimentRunner` owns a benchmark scale and a disk cache; every
 (benchmark, machine configuration, optimization level) combination is
 compiled, simulated, checksum-verified against the IR interpreter, and the
-resulting record cached so the figure-regeneration benches are cheap to
-re-run.
+resulting record cached as a JSON document in a :class:`repro.store.Store`
+so the figure-regeneration benches are cheap to re-run.
 
 The speedup baseline follows paper section 5.3: "a single-issue processor
 with an unlimited number of registers using conventional compiler scalar
@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import logging
 import os
-import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,18 +36,20 @@ from repro.sim import (
     simulate,
     unlimited_machine,
 )
+from repro.store import Store
 from repro.workloads import workload
 
 #: Environment variable scaling every benchmark's input size.
 SCALE_ENV = "REPRO_SCALE"
 CACHE_ENV = "REPRO_CACHE_DIR"
 
-log = logging.getLogger(__name__)
-
 #: Packages whose source determines cached results: editing any file under
-#: them must invalidate every previously cached record.
+#: them must invalidate every previously cached record.  ``repro.analyze``
+#: holds the connect optimizer every RC compile runs, and ``repro.observe``
+#: builds :attr:`RunRecord.cpi`.
 FINGERPRINT_PACKAGES = ("repro.compiler", "repro.sim", "repro.workloads",
-                        "repro.isa", "repro.ir", "repro.rc")
+                        "repro.isa", "repro.ir", "repro.rc", "repro.analyze",
+                        "repro.observe")
 
 _fingerprint_cache: str | None = None
 
@@ -65,12 +64,18 @@ def code_fingerprint(refresh: bool = False) -> str:
     global _fingerprint_cache
     if _fingerprint_cache is not None and not refresh:
         return _fingerprint_cache
-    import importlib
+    import importlib.util
+    import sys
 
     digest = hashlib.sha256()
     for pkg_name in FINGERPRINT_PACKAGES:
-        pkg = importlib.import_module(pkg_name)
-        for root in pkg.__path__:
+        # Locate a package without importing it: a warm re-render never
+        # loads the connect optimizer, and importing ``repro.analyze``
+        # costs ten times more than hashing it.
+        pkg = sys.modules.get(pkg_name)
+        roots = (pkg.__path__ if pkg is not None else
+                 importlib.util.find_spec(pkg_name).submodule_search_locations)
+        for root in roots:
             for path in sorted(Path(root).rglob("*.py")):
                 digest.update(str(path.relative_to(root)).encode())
                 digest.update(path.read_bytes())
@@ -114,6 +119,16 @@ class RunRecord:
     def callsave_increase(self) -> float:
         base = self.total_static - self.overhead_static
         return self.callsave_static / base if base else 0.0
+
+
+#: A stored record's JSON keys, in field order; any other key list is a
+#: miss that the recompute overwrites.
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord))
+
+
+def _store_key(cache_key: str) -> str:
+    """The store key (a lowercase-hex digest) of one runner cache key."""
+    return hashlib.sha256(cache_key.encode()).hexdigest()[:24]
 
 
 def _compile_key(config: MachineConfig) -> str:
@@ -171,6 +186,7 @@ class ExperimentRunner:
         if cache_dir is None:
             cache_dir = os.environ.get(CACHE_ENV, ".repro_cache")
         self.cache_dir = Path(cache_dir)
+        self.store = Store(self.cache_dir)
         self._memory: dict[str, RunRecord] = {}
         self._golden: dict[str, int | float] = {}
         self._compiled: dict[tuple, tuple] = {}
@@ -204,61 +220,20 @@ class ExperimentRunner:
 
     # -- caching ---------------------------------------------------------------
 
-    def _cache_path(self, key: str) -> Path:
-        digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-        return self.cache_dir / f"{digest}.pkl"
-
-    @staticmethod
-    def _valid_record(record: object) -> bool:
-        """Reject old-schema pickles that unpickle but lack newer fields."""
-        if not isinstance(record, RunRecord):
-            return False
-        return all(hasattr(record, f.name)
-                   for f in dataclasses.fields(RunRecord))
-
     def _load(self, key: str) -> RunRecord | None:
         record = self._memory.get(key)
         if record is not None:
             return record
-        path = self._cache_path(key)
-        if not path.exists():
-            return None
-        try:
-            with path.open("rb") as fh:
-                record = pickle.load(fh)
-        except Exception:
-            record = None
-        if not self._valid_record(record):
-            # Corrupt or old-schema: delete so it is not re-parsed on
-            # every subsequent miss.
-            log.warning("discarding unreadable cache file %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self._memory[key] = record
+        doc = self.store.get(_store_key(key))
+        if doc is None or tuple(doc) != _RECORD_FIELDS:
+            return None  # absent, or written under another RunRecord schema
+        record = self._memory[key] = RunRecord(**doc)
         return record
 
     def _store(self, key: str, record: RunRecord) -> None:
         self._memory[key] = record
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            # Atomic write (tmp + os.replace) so concurrent sweep workers
-            # can never observe a torn pickle.
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(record, fh)
-                os.replace(tmp, self._cache_path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            pass  # caching is best-effort
+        self.store.put(_store_key(key),
+                       {name: getattr(record, name) for name in _RECORD_FIELDS})
 
     # -- golden results ----------------------------------------------------------
 

@@ -8,11 +8,12 @@ built entirely on the standard library:
   progress streaming;
 * :mod:`repro.serve.scheduler` — admission control (validation, rate
   limiting, cycle-budget caps), the artifact fast path, in-flight
-  coalescing, and graceful drain;
+  coalescing, and graceful drain; finished job artifacts go to a
+  :class:`repro.store.Store` keyed by the experiment cache's config +
+  code fingerprints;
 * :mod:`repro.serve.workers` — the process pool, whose workers keep
-  warm compiled-program caches between jobs;
-* :mod:`repro.serve.store` — content-addressed on-disk artifacts keyed
-  by the experiment cache's config + code fingerprints;
+  warm compiled-program caches between jobs and store their run records
+  in the same store root as the artifacts;
 * :mod:`repro.serve.wire` — payload validation and fingerprinting;
 * :mod:`repro.serve.client` — the blocking client used by tests,
   ``benchmarks/bench_serve.py``, and ``repro fuzz --serve``.
@@ -24,7 +25,6 @@ from repro.serve.app import ServeApp, ServerHandle, serve, start_in_thread
 from repro.serve.client import JobFailed, ServeClient, ServeError
 from repro.serve.ratelimit import RateLimiter, TokenBucket
 from repro.serve.scheduler import Job, RateLimited, Scheduler, ServerDraining
-from repro.serve.store import ArtifactStore
 from repro.serve.wire import (
     JOB_KINDS,
     BadRequest,
@@ -35,7 +35,6 @@ from repro.serve.wire import (
 )
 
 __all__ = [
-    "ArtifactStore",
     "BadRequest",
     "JOB_KINDS",
     "Job",

@@ -8,8 +8,9 @@ The scheduler owns the worker pool and everything around it:
   before the job is queued, and a run that exceeds it comes back as a
   structured ``budget-exceeded`` error without disturbing other jobs);
 * **the artifact fast path** — a submission whose
-  :func:`~repro.serve.wire.job_fingerprint` is already in the store
-  completes instantly, without touching the pool;
+  :func:`~repro.serve.wire.job_fingerprint` is already in the
+  :class:`~repro.store.Store` completes instantly, without touching the
+  pool;
 * **in-flight coalescing** — concurrent identical submissions attach to
   the one running computation and all complete when it does;
 * **progress fan-in** — a drain thread moves worker events (lifecycle
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.serve.ratelimit import RateLimiter
-from repro.serve.store import ArtifactStore
 from repro.serve.wire import job_fingerprint, validate_payload
 from repro.serve.workers import execute_job, init_worker
+from repro.store import Store
 
 #: Finished jobs kept for status queries before eviction.
 JOB_HISTORY_CAP = 4096
@@ -121,7 +122,7 @@ class Scheduler:
         self.workers = max(1, jobs)
         self.artifact_dir = artifact_dir
         self.max_cycles_cap = max_cycles_cap
-        self.store = ArtifactStore(artifact_dir)
+        self.store = Store(artifact_dir)
         self.limiter = RateLimiter(rate=rate, burst=burst)
         self.jobs: dict[str, Job] = {}
         self.counters = {"submitted": 0, "completed": 0, "failed": 0,

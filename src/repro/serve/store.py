@@ -1,104 +1,1 @@
-"""Content-addressed on-disk artifact store for the serve subsystem.
-
-Artifacts are finished job results, stored as JSON under
-``root/<key[:2]>/<key>.json`` where *key* is the
-:func:`repro.serve.wire.job_fingerprint` of the submission.  Because the
-key embeds the code fingerprint and every cycle-affecting configuration
-field, a lookup can never return a stale result — a source edit simply
-makes old artifacts unreachable.
-
-Writes use the same tmp-file + :func:`os.replace` discipline as the
-experiment cache, so any number of workers (or whole server processes
-sharing one artifact directory) may store the same key concurrently and
-readers always observe either nothing or one complete JSON document.
-"""
-
-from __future__ import annotations
-
-import json
-import logging
-import os
-import tempfile
-import threading
-from pathlib import Path
-
-log = logging.getLogger(__name__)
-
-
-class ArtifactStore:
-    """Sharded JSON artifact store with atomic writes.
-
-    Thread-safe: the HTTP handler, scheduler, and drain thread all touch
-    the store; counters are guarded by a lock and the filesystem
-    operations are atomic on their own.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self._lock = threading.Lock()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> dict | None:
-        """The stored artifact for *key*, or None.
-
-        Unreadable files (torn by a crash mid-rename on exotic
-        filesystems, or hand-edited) are evicted so they miss exactly
-        once, mirroring the experiment cache's corrupt-pickle policy.
-        """
-        path = self._path(key)
-        try:
-            with path.open() as fh:
-                artifact = json.load(fh)
-            if not isinstance(artifact, dict):
-                raise ValueError("artifact root must be an object")
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
-        except (OSError, ValueError):
-            log.warning("evicting unreadable artifact %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            with self._lock:
-                self.misses += 1
-            return None
-        with self._lock:
-            self.hits += 1
-        return artifact
-
-    def put(self, key: str, artifact: dict) -> None:
-        """Store *artifact* under *key*; last concurrent writer wins.
-
-        Best-effort like the experiment cache: a full disk degrades the
-        service to compute-always, it does not fail jobs.
-        """
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(artifact, fh)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        with self._lock:
-            self.puts += 1
-
-    def counters(self) -> dict[str, int]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "puts": self.puts}
+from repro.store import Store as ArtifactStore  # noqa: F401 - perfbench traces this name

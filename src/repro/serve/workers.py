@@ -4,9 +4,10 @@ Each pool worker keeps module-level *warm state* that survives across
 jobs for the life of the process:
 
 * an :class:`~repro.experiments.runner.ExperimentRunner` per (scale,
-  engine) — which carries the in-memory compiled-program cache, the
-  record memo, and the on-disk record cache under
-  ``<artifact_dir>/records`` shared by all workers;
+  engine) — which carries the in-memory compiled-program cache and the
+  record memo, and stores its records in the artifact directory itself:
+  one :class:`~repro.store.Store` root holds run records and job
+  artifacts side by side, shared by all workers and the scheduler;
 * a small FIFO cache of parsed assembly programs, so repeated
   submissions of the same ``.s`` text (the fuzz replay path) skip the
   parser.
@@ -38,16 +39,16 @@ from repro.serve.wire import effective_config, options_from_payload
 PARSE_CACHE_CAP = 128
 
 _QUEUE = None
-_RECORDS_DIR: str | None = None
+_ARTIFACT_DIR: str | None = None
 _RUNNERS: dict = {}
 _PARSED: dict = {}
 
 
 def init_worker(queue, artifact_dir: str) -> None:
-    """Pool initializer: wire up the progress queue and cache root."""
-    global _QUEUE, _RECORDS_DIR
+    """Pool initializer: wire up the progress queue and store root."""
+    global _QUEUE, _ARTIFACT_DIR
     _QUEUE = queue
-    _RECORDS_DIR = os.path.join(artifact_dir, "records")
+    _ARTIFACT_DIR = artifact_dir
 
 
 def _put(event: dict) -> None:
@@ -66,7 +67,7 @@ def _runner(scale: int, engine: str | None):
     runner = _RUNNERS.get(key)
     if runner is None:
         runner = _RUNNERS[key] = ExperimentRunner(
-            scale=scale, cache_dir=_RECORDS_DIR, engine=engine)
+            scale=scale, cache_dir=_ARTIFACT_DIR, engine=engine)
     return runner
 
 

@@ -6,8 +6,8 @@ invalidation, and serial/parallel sweep equivalence.
 """
 
 import dataclasses
+import json
 import multiprocessing
-import pickle
 
 import pytest
 
@@ -20,7 +20,7 @@ from repro.experiments import (
 )
 from repro.experiments import executor as executor_mod
 from repro.experiments import runner as runner_mod
-from repro.experiments.runner import RunRecord, _config_key
+from repro.experiments.runner import _config_key, _store_key
 from repro.isa import LatencyModel
 from repro.sim import MachineConfig, unlimited_machine
 
@@ -71,38 +71,51 @@ class TestConfigKey:
 
 
 class TestCacheHygiene:
+    @staticmethod
+    def _path(runner, key):
+        return runner.store._path(_store_key(key))
+
     def test_corrupt_cache_file_deleted_and_recomputed(self, runner):
         cfg = _cfg()
         rec = runner.run("cmp", cfg)
         key = runner.cache_key("cmp", cfg)
-        path = runner._cache_path(key)
+        path = self._path(runner, key)
         assert path.exists()
-        path.write_bytes(b"not a pickle")
+        path.write_bytes(b"not json")
         fresh = ExperimentRunner(scale=1, cache_dir=runner.cache_dir)
         assert fresh._load(key) is None
         assert not path.exists()  # bad file evicted, not re-parsed forever
         assert fresh.run("cmp", cfg) == rec
         assert fresh.cache_misses == 1
 
-    def test_old_schema_pickle_rejected(self, runner, tmp_path):
+    def test_stale_schema_document_replaced(self, runner):
+        """A document written under another RunRecord schema is a miss,
+        and the recompute overwrites it with a loadable record."""
         cfg = _cfg()
-        runner.run("cmp", cfg)
+        rec = runner.run("cmp", cfg)
         key = runner.cache_key("cmp", cfg)
-        path = runner._cache_path(key)
-        # Simulate an old-schema record: unpickles fine but lacks fields.
-        state = dict(runner._memory[key].__dict__)
-        del state["mispredicts"]
-        stale = object.__new__(RunRecord)
-        stale.__dict__.update(state)
-        path.write_bytes(pickle.dumps(stale))
+        path = self._path(runner, key)
+        stale = json.loads(path.read_text())
+        del stale["mispredicts"]
+        path.write_text(json.dumps(stale))
         fresh = ExperimentRunner(scale=1, cache_dir=runner.cache_dir)
         assert fresh._load(key) is None
-        assert not path.exists()
+        assert fresh.run("cmp", cfg) == rec
+        assert fresh.cache_misses == 1
+        reader = ExperimentRunner(scale=1, cache_dir=runner.cache_dir)
+        assert reader.cached("cmp", cfg) == rec
+
+    def test_record_round_trips_through_json(self, runner):
+        cfg = _cfg()
+        rec = runner.run("cmp", cfg, collect_cpi=True)
+        fresh = ExperimentRunner(scale=1, cache_dir=runner.cache_dir)
+        assert fresh.cached("cmp", cfg, collect_cpi=True) == rec
 
     def test_atomic_store_leaves_no_tmp_files(self, runner):
         runner.run("cmp", _cfg())
-        leftovers = list(runner.cache_dir.glob("*.tmp"))
-        assert leftovers == []
+        runner.run("cmp", _cfg(int_alu=3))
+        assert list(runner.cache_dir.rglob("*.json"))
+        assert list(runner.cache_dir.rglob("*.tmp")) == []
 
     def test_hit_miss_counters(self, runner):
         cfg = _cfg()
@@ -116,22 +129,44 @@ class TestFingerprint:
     def test_fingerprint_is_stable(self):
         assert code_fingerprint() == code_fingerprint()
 
-    def test_fingerprint_tracks_source_edits(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("package, source", [
+        ("repro.sim", "core.py"),
+        # The connect optimizer runs inside every RC compile.
+        ("repro.analyze", "optimize.py"),
+    ], ids=["repro.sim", "repro.analyze"])
+    def test_fingerprint_tracks_source_edits(self, tmp_path, monkeypatch,
+                                             package, source):
         """Editing any fingerprinted source file must change the hash."""
+        import importlib
         import shutil
 
-        import repro.sim as sim_pkg
-
-        copy = tmp_path / "sim"
-        shutil.copytree(sim_pkg.__path__[0], copy)
+        pkg = importlib.import_module(package)
+        copy = tmp_path / "pkg"
+        shutil.copytree(pkg.__path__[0], copy)
         before = code_fingerprint(refresh=True)
-        monkeypatch.setattr(sim_pkg, "__path__", [str(copy)])
+        monkeypatch.setattr(pkg, "__path__", [str(copy)])
         assert code_fingerprint(refresh=True) == before  # same content
-        (copy / "core.py").write_text(
-            (copy / "core.py").read_text() + "\n# edited\n")
+        (copy / source).write_text(
+            (copy / source).read_text() + "\n# edited\n")
         assert code_fingerprint(refresh=True) != before
         monkeypatch.undo()
         code_fingerprint(refresh=True)
+
+    def test_fingerprint_imports_no_package(self):
+        """Hashing a package must not import it: a warm re-render never
+        loads the connect optimizer and should not pay for it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys; from repro.experiments import code_fingerprint; "
+                "code_fingerprint(); print('repro.analyze' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
     def test_fingerprint_change_invalidates_cache(self, tmp_path, monkeypatch):
         """Acceptance: a code change (monkeypatched fingerprint) makes
@@ -182,14 +217,19 @@ class TestSweepExecutor:
 
     def test_parallel_and_serial_caches_byte_identical(self, tmp_path):
         """Acceptance: cold parallel run produces byte-identical RunRecords
-        (pickles) to the serial path."""
+        (JSON documents) to the serial path."""
         serial = ExperimentRunner(scale=1, cache_dir=tmp_path / "serial")
         SweepExecutor(runner=serial, jobs=1).run(self._jobs())
         par = ExperimentRunner(scale=1, cache_dir=tmp_path / "par")
         SweepExecutor(runner=par, jobs=2).run(self._jobs())
-        serial_files = sorted(p.name for p in (tmp_path / "serial").iterdir())
-        par_files = sorted(p.name for p in (tmp_path / "par").iterdir())
-        assert serial_files == par_files
+
+        def documents(root):
+            return sorted(str(p.relative_to(root)) for p in root.rglob("*")
+                          if p.is_file())
+
+        serial_files = documents(tmp_path / "serial")
+        assert serial_files == documents(tmp_path / "par")
+        assert len(serial_files) == len(self._jobs())
         for name in serial_files:
             assert ((tmp_path / "serial" / name).read_bytes()
                     == (tmp_path / "par" / name).read_bytes())

@@ -8,12 +8,12 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.fuzz.oracles import fuzz_configs
 from repro.serve import (
-    ArtifactStore,
     BadRequest,
     JobFailed,
     RateLimiter,
@@ -27,6 +27,7 @@ from repro.serve import (
     validate_payload,
 )
 from repro.sim import paper_machine, unlimited_machine
+from repro.store import Store
 
 SUM_LOOP = """
     li r1, 0
@@ -102,19 +103,46 @@ class TestWire:
 
 class TestArtifactStore:
     def test_round_trip_and_counters(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = Store(tmp_path)
         assert store.get("ab" * 16) is None
         store.put("ab" * 16, {"cycles": 1})
         assert store.get("ab" * 16) == {"cycles": 1}
         assert store.counters() == {"hits": 1, "misses": 1, "puts": 1}
 
     def test_corrupt_artifact_evicted(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.put("cd" * 16, {"ok": True})
-        path = store._path("cd" * 16)
-        path.write_text("{truncated")
-        assert store.get("cd" * 16) is None
-        assert not path.exists()
+        store = Store(tmp_path)
+        for bad in ("{truncated", "[1, 2]"):
+            store.put("cd" * 16, {"ok": True})
+            path = store._path("cd" * 16)
+            path.write_text(bad)
+            assert store.get("cd" * 16) is None
+            assert not path.exists()
+
+    def test_no_tmp_files_left_in_shards(self, tmp_path):
+        store = Store(tmp_path)
+        for key in ("ab" * 12, "cd" * 16, "ab" * 16):
+            store.put(key, {"key": key})
+        assert len(list(tmp_path.rglob("*.json"))) == 3
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_rejects_non_hex_keys(self, tmp_path):
+        """A key that is not lowercase hex never touches the filesystem:
+        it cannot be stored, read, or evicted."""
+        root = tmp_path / "root"
+        store = Store(root)
+        outside = tmp_path / "outside.json"
+        outside.write_text("not json")
+        shard = root / "AB" / ("AB" * 16 + ".json")
+        shard.parent.mkdir(parents=True)
+        shard.write_text("{}")
+        for key in ("..", "a/b", "../outside", "AB" * 16, ""):
+            store.put(key, {"forged": True})
+            assert store.get(key) is None
+        assert store.counters() == {"hits": 0, "misses": 5, "puts": 0}
+        assert outside.read_text() == "not json"
+        assert shard.read_text() == "{}"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+            ["outside.json", "root", "AB", shard.name])
 
     def test_concurrent_writers_never_tear(self, tmp_path):
         """Satellite: two processes storing the same fingerprint must not
@@ -125,7 +153,7 @@ class TestArtifactStore:
                  for pid in range(2)]
         for p in procs:
             p.start()
-        store = ArtifactStore(tmp_path)
+        store = Store(tmp_path)
         deadline = time.monotonic() + 30
         reads = 0
         while any(p.is_alive() for p in procs):
@@ -145,8 +173,7 @@ class TestArtifactStore:
 
     def test_concurrent_runner_caches_share_one_dir(self, tmp_path):
         """Two processes compiling the same fingerprint into one record
-        cache (the same tmp+rename discipline the artifact store reuses)
-        both succeed and agree."""
+        store both succeed and agree."""
         queue = multiprocessing.Queue()
         procs = [multiprocessing.Process(target=_runner_job,
                                          args=(str(tmp_path), queue))
@@ -164,10 +191,11 @@ class TestArtifactStore:
         runner = ExperimentRunner(scale=1, cache_dir=tmp_path)
         record = runner.cached("cmp", paper_machine())
         assert record is not None and record.cycles == cycles[0]
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def _hammer_store(root: str, key: str, writer: int) -> None:
-    store = ArtifactStore(root)
+    store = Store(root)
     for _ in range(200):
         store.put(key, {"writer": writer, "payload": "x" * 4096})
 
@@ -269,6 +297,17 @@ class TestService:
         with pytest.raises(ServeError) as err:
             client.artifact("doesnotexist")
         assert err.value.status == 404
+
+    def test_one_store_root_after_simulate(self, client, server):
+        """Worker run records share the artifact root: no ``records/``
+        subdirectory and no pickles beside the artifacts."""
+        result = client.run("simulate", {"benchmark": "cmp",
+                                         "machine": {"issue": 8}})
+        root = Path(server.app.scheduler.artifact_dir)
+        assert not (root / "records").exists()
+        assert list(root.rglob("*.pkl")) == []
+        docs = [json.loads(p.read_text()) for p in root.rglob("*.json")]
+        assert result["record"] in docs  # the run record, as stored
 
     def test_asm_parse_error_is_structured(self, client):
         with pytest.raises(JobFailed) as err:
@@ -405,6 +444,29 @@ class TestServiceLifecycle:
         waiter.join(timeout=120)
         assert done.get("status") == "done"
         assert not c.healthy()
+
+
+class TestArtifactKeys:
+    def test_encoded_traversal_key_is_404(self, tmp_path):
+        """A percent-encoded ``../`` artifact key neither serves nor
+        evicts files next to the artifact directory."""
+        root = tmp_path / "srv" / "artifacts"
+        root.mkdir(parents=True)  # ``..`` resolves only through a real dir
+        trav = tmp_path / "trav"
+        trav.mkdir()
+        (trav / "secret.json").write_text('{"secret": 1}')
+        (trav / "victim.json").write_text("not json")
+        handle = start_in_thread(jobs=1, artifact_dir=str(root))
+        try:
+            c = ServeClient(handle.url)
+            for name in ("secret", "victim"):
+                with pytest.raises(ServeError) as err:
+                    c.artifact(f"..%2Ftrav%2F{name}")
+                assert err.value.status == 404
+        finally:
+            handle.stop()
+        assert (trav / "secret.json").read_text() == '{"secret": 1}'
+        assert (trav / "victim.json").read_text() == "not json"
 
 
 class TestServeReplay:
